@@ -92,7 +92,6 @@ fn config(protocol: Protocol, transport: TransportKind, clients: u16) -> EngineC
         client_cache_pages: 16,
         server_pool_pages: 64,
         server_workers: 4,
-        group_commit_batch: 8,
         paranoid: false,
         transport,
         txn_epoch: 0,

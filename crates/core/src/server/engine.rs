@@ -655,9 +655,18 @@ impl ServerEngine {
         page: PageId,
         reply: CallbackReply,
     ) {
-        // 1. Copy-table effects are applied even when the op has been
-        //    cancelled (the client really did purge its copy).
+        // 1. Copy-table effects. A page-grain purge is applied even when
+        //    the op has been cancelled (the client really did purge its
+        //    copy; the epoch tells a newer shipment apart). An object
+        //    purge quotes no epoch, so it is only trusted while its op is
+        //    live: the op's provisional lock keeps the object out of every
+        //    shipment to that client. Once the op is cancelled (requester
+        //    aborted or gone) the page may have been re-shipped with the
+        //    object available again, and deregistering that copy would let
+        //    a later writer skip its callback — a lost update. Keeping a
+        //    copy the client no longer has costs one needless callback.
         let page_grain = self.protocol.page_grain_copies();
+        let op_live = self.ops.contains_key(&callback);
         if let Some(st) = self.pages.get_mut(&page) {
             match &reply {
                 CallbackReply::PagePurged { epoch } => {
@@ -667,7 +676,7 @@ impl ServerEngine {
                     }
                 }
                 CallbackReply::ObjectPurged { slot } => {
-                    if !page_grain {
+                    if !page_grain && op_live {
                         if let Some(set) = st.obj_copies.get_mut(slot) {
                             set.remove(&from);
                             self.cost.copy_ops += 1;

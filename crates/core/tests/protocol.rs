@@ -273,6 +273,73 @@ fn psoo_callback_marks_object_but_keeps_page() {
     w.commit(1);
 }
 
+/// A callback whose requester vanished is cancelled, but its reply still
+/// arrives. If the page was shipped to the replying client again in the
+/// meantime (the object no longer provisionally locked, so available and
+/// registered), the late `ObjectPurged` must not deregister that fresh
+/// copy: the next writer of the object has to call it back.
+#[test]
+fn psoo_late_purge_for_a_cancelled_callback_keeps_the_reshipped_copy() {
+    use fgs_core::server::{ServerAction, ServerEngine};
+    use fgs_core::{CallbackReply, DataGrant, Request, ServerMsg};
+    let (a, b, c) = (ClientId(0), ClientId(1), ClientId(2));
+    let (hot, other) = (oid(0, 3), oid(0, 2));
+    let mut s = ServerEngine::new(Protocol::PsOo, 4);
+    let read = |s: &mut ServerEngine, txn, oid| {
+        let out = s.handle(c, Request::Read { txn, oid });
+        s.handle(
+            c,
+            Request::Commit {
+                txn,
+                writes: vec![],
+            },
+        );
+        out.actions
+    };
+    let callback_to_c = |actions: &[ServerAction]| {
+        actions.iter().find_map(|act| match act {
+            ServerAction::Send {
+                to,
+                msg: ServerMsg::Callback { callback, .. },
+            } if *to == c => Some(*callback),
+            _ => None,
+        })
+    };
+    // C caches the page; A's write of `hot` calls C back; A vanishes.
+    read(&mut s, TxnId::new(c, 1), hot);
+    let write = |txn| Request::Write {
+        txn,
+        oid: hot,
+        need_copy: true,
+    };
+    let out = s.handle(a, write(TxnId::new(a, 1)));
+    let cancelled = callback_to_c(&out.actions).expect("C holds a copy");
+    s.client_gone(a);
+    // C is shipped the page again, `hot` included...
+    let shipped = read(&mut s, TxnId::new(c, 2), other);
+    assert!(shipped.iter().any(|act| matches!(
+        act,
+        ServerAction::Send { msg: ServerMsg::ReadGranted { data: DataGrant::Page { unavailable, .. }, .. }, .. }
+            if unavailable.is_empty()
+    )));
+    // ...and only then does its reply to the cancelled callback land.
+    s.handle(
+        c,
+        Request::CallbackReply {
+            callback: cancelled,
+            page: hot.page,
+            reply: CallbackReply::ObjectPurged { slot: hot.slot },
+        },
+    );
+    let out = s.handle(b, write(TxnId::new(b, 1)));
+    assert!(
+        callback_to_c(&out.actions).is_some(),
+        "C's re-shipped copy of the object must be called back: {:?}",
+        out.actions
+    );
+    s.check_invariants();
+}
+
 #[test]
 fn psoo_object_callbacks_fan_out_per_object() {
     let mut w = World::new(Protocol::PsOo, 2, 16);

@@ -103,7 +103,6 @@ fn derive_plan(seed: u64, mode: Mode, txns_per_client: usize) -> Plan {
         client_cache_pages: 2 + r(4) as usize,
         server_pool_pages: 8,
         server_workers: 1 + r(3) as usize,
-        group_commit_batch: 1 + r(4) as usize,
         paranoid: true,
         transport: match mode {
             Mode::Channel => TransportKind::Channel,

@@ -644,9 +644,10 @@ impl Workspace {
                 } else {
                     format!(
                         "lock order violated: acquired {class} while holding {} \
-                         (acquired at line {}); declared order is \
-                         LogWriterState -> ProtocolStage -> PoolShard -> WalInner -> Disk -> CompletionState -> PortTable -> ConnWriter",
-                        g.class, g.line
+                         (acquired at line {}); declared order is {}",
+                        g.class,
+                        g.line,
+                        LockClass::order()
                     )
                 };
                 out.push(Violation {
@@ -703,9 +704,10 @@ impl Workspace {
                         line,
                         message: format!(
                             "call to `{callee_label}` may acquire {c} (via {witness}) while \
-                             holding {} (acquired at line {}); declared order is \
-                             LogWriterState -> ProtocolStage -> PoolShard -> WalInner -> Disk -> CompletionState -> PortTable -> ConnWriter",
-                            g.class, g.line
+                             holding {} (acquired at line {}); declared order is {}",
+                            g.class,
+                            g.line,
+                            LockClass::order()
                         ),
                     });
                 }

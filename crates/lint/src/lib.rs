@@ -2,7 +2,7 @@
 //! for the fgs crates.
 //!
 //! Enforces the declared lock-order DAG
-//! (`LogWriterState -> ProtocolStage -> PoolShard -> WalInner -> Disk -> CompletionState -> PortTable -> ConnWriter`), two
+//! (`ClientState -> LogWriterState -> ProtocolStage -> PoolShard -> WalInner -> Disk -> CompletionState -> PortTable -> ConnWriter`), two
 //! guard-hygiene rules (`io_under_protocol`, `reentrant_closure`), and the
 //! FGSP protocol-conformance passes (`handler_exhaustiveness`,
 //! `illegal_transition`, `panic_under_protocol`, `determinism`,

@@ -58,9 +58,10 @@ fn main() -> ExitCode {
     };
     if violations.is_empty() {
         eprintln!(
-            "fgs-lint: {} file(s) clean (lock order LogWriterState -> ProtocolStage -> PoolShard -> WalInner -> Disk -> CompletionState -> PortTable -> ConnWriter; \
+            "fgs-lint: {} file(s) clean (lock order {}; \
              protocol passes: handler_exhaustiveness, illegal_transition, panic_under_protocol, determinism, unused_allow)",
-            files.len()
+            files.len(),
+            fgs_lint::model::LockClass::order()
         );
         ExitCode::SUCCESS
     } else {

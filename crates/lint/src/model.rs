@@ -6,8 +6,8 @@
 //! lock it already holds:
 //!
 //! ```text
-//! LogWriterState -> ProtocolStage -> PoolShard -> WalInner -> Disk
-//!     -> CompletionState -> PortTable -> ConnWriter
+//! ClientState -> LogWriterState -> ProtocolStage -> PoolShard -> WalInner
+//!     -> Disk -> CompletionState -> PortTable -> ConnWriter
 //! ```
 
 use std::fmt;
@@ -17,29 +17,35 @@ use std::fmt;
 /// `c as u8 > h as u8`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockClass {
+    /// One client workstation's runtime — protocol engine plus byte cache
+    /// (`client.rs`) — locked by application calls and by the client's
+    /// pump thread. Outermost: it is held across `RequestSink::send_request`
+    /// (which takes `ConnWriter` over TCP), so it is acquired with nothing
+    /// held, and no server-side thread ever takes it.
+    ClientState = 0,
     /// The log-writer thread's request board (`server.rs`): the
     /// requested-durability watermark and pending-commit count workers
     /// hand to the dedicated WAL writer.
-    LogWriterState = 0,
+    LogWriterState = 1,
     /// A pipeline stage's protocol/engine mutex (`server.rs`).
-    ProtocolStage = 1,
+    ProtocolStage = 2,
     /// One buffer-pool shard (`bufferpool.rs`).
-    PoolShard = 2,
+    PoolShard = 3,
     /// The WAL's inner buffer + durable horizon (`wal.rs`).
-    WalInner = 3,
+    WalInner = 4,
     /// The disk manager's page table (`disk.rs`).
-    Disk = 4,
+    Disk = 5,
     /// The completion router's durable watermark + per-client barrier
     /// queues (`server.rs`). Sits after the storage classes (the log
     /// writer advances it having finished its WAL/disk work) and before
     /// the transport classes (releasing a queue resolves a port).
-    CompletionState = 5,
+    CompletionState = 6,
     /// The transport's client-port registry (`transport/mod.rs`).
-    PortTable = 6,
+    PortTable = 7,
     /// A TCP connection's write half (`transport/tcp.rs`). Innermost by
     /// design: socket writes are blocking I/O, so nothing may be waiting
     /// on a `ConnWriter` holder.
-    ConnWriter = 7,
+    ConnWriter = 8,
 }
 
 impl LockClass {
@@ -48,8 +54,15 @@ impl LockClass {
         self as u8
     }
 
+    /// The declared order, spelled out for diagnostics.
+    pub fn order() -> String {
+        let names: Vec<String> = Self::ALL.iter().map(|c| c.to_string()).collect();
+        names.join(" -> ")
+    }
+
     /// All classes, in order.
-    pub const ALL: [LockClass; 8] = [
+    pub const ALL: [LockClass; 9] = [
+        LockClass::ClientState,
         LockClass::LogWriterState,
         LockClass::ProtocolStage,
         LockClass::PoolShard,
@@ -65,6 +78,7 @@ impl LockClass {
     /// internally) to its lock class.
     pub fn from_inner_type(name: &str) -> Option<LockClass> {
         Some(match name {
+            "ClientRuntime" => LockClass::ClientState,
             "LogWriterState" => LockClass::LogWriterState,
             "ProtocolStage" | "EngineStage" => LockClass::ProtocolStage,
             "PoolShard" | "PoolInner" | "ShardInner" => LockClass::PoolShard,
@@ -92,6 +106,7 @@ impl LockClass {
 impl fmt::Display for LockClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
+            LockClass::ClientState => "ClientState",
             LockClass::LogWriterState => "LogWriterState",
             LockClass::ProtocolStage => "ProtocolStage",
             LockClass::PoolShard => "PoolShard",
@@ -188,7 +203,9 @@ mod tests {
     #[test]
     fn ranks_follow_the_declared_dag() {
         let ranks: Vec<u8> = LockClass::ALL.iter().map(|c| c.rank()).collect();
-        assert_eq!(ranks, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(ranks, vec![0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(LockClass::ClientState < LockClass::LogWriterState);
+        assert!(LockClass::ClientState < LockClass::ConnWriter);
         assert!(LockClass::LogWriterState < LockClass::ProtocolStage);
         assert!(LockClass::WalInner < LockClass::Disk);
         assert!(LockClass::Disk < LockClass::CompletionState);
@@ -201,6 +218,10 @@ mod tests {
         assert_eq!(
             LockClass::from_inner_type("PoolInner"),
             Some(LockClass::PoolShard)
+        );
+        assert_eq!(
+            LockClass::from_inner_type("ClientRuntime"),
+            Some(LockClass::ClientState)
         );
         assert_eq!(LockClass::from_inner_type("Foo"), None);
         assert_eq!(LockClass::from_owner_type("MemDisk"), Some(LockClass::Disk));

@@ -245,6 +245,39 @@ fn seeded_inversion_against_real_workspace_sources() {
     );
 }
 
+/// The client runtime's mutex in `fgs-oodb` really is seen as
+/// `ClientState`, the outermost class: taking it (here through
+/// `ClientShared::begin`) while holding a connection's write half inverts
+/// the one descent the client side makes (ClientState -> ConnWriter).
+#[test]
+fn seeded_client_state_under_conn_writer_is_caught() {
+    let mut sources = workspace_sources();
+    sources.push((
+        "seeded.rs".to_string(),
+        r#"
+        struct Seeded { writer: Mutex<ConnWriter> }
+        impl Seeded {
+            fn bad(&self, client: &ClientShared) {
+                let g = self.writer.lock();
+                client.begin();
+                drop(g);
+            }
+        }
+        "#
+        .to_string(),
+    ));
+    let post = check_sources(&sources);
+    assert!(
+        post.iter().any(|v| {
+            v.file == "seeded.rs"
+                && v.rule == Rule::LockOrder
+                && v.message.contains("may acquire ClientState")
+                && v.message.contains("while holding ConnWriter")
+        }),
+        "seeded inversion not caught: {post:?}"
+    );
+}
+
 /// Dropping a dispatch arm from the real server engine's `handle` is
 /// caught by the exhaustiveness pass — the scenario the protocol model
 /// exists for: a new (or deleted) wire variant silently not dispatched.

@@ -10,7 +10,7 @@
 //! fgs-serverd [--addr HOST:PORT] [--protocol ps|os|ps-oo|ps-oa|ps-aa]
 //!             [--clients N] [--workers N] [--db-pages N]
 //!             [--objects-per-page N] [--object-size BYTES]
-//!             [--page-size BYTES] [--group-commit N]
+//!             [--page-size BYTES]
 //! ```
 
 use fgs_core::Protocol;
@@ -22,7 +22,7 @@ fn usage() -> ! {
         "usage: fgs-serverd [--addr HOST:PORT] [--protocol ps|os|ps-oo|ps-oa|ps-aa]\n\
          \x20                  [--clients N] [--workers N] [--db-pages N]\n\
          \x20                  [--objects-per-page N] [--object-size BYTES]\n\
-         \x20                  [--page-size BYTES] [--group-commit N]"
+         \x20                  [--page-size BYTES]"
     );
     exit(2);
 }
@@ -76,7 +76,6 @@ fn main() {
             "--objects-per-page" => config.objects_per_page = parse_num(&flag, &value),
             "--object-size" => config.object_size = parse_num(&flag, &value),
             "--page-size" => config.page_size = parse_num(&flag, &value),
-            "--group-commit" => config.group_commit_batch = parse_num(&flag, &value),
             _ => {
                 eprintln!("fgs-serverd: unknown flag {flag:?}");
                 usage();

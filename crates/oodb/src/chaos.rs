@@ -171,8 +171,8 @@ impl ChaosState {
 // Client→server: the request sink wrapper
 // ----------------------------------------------------------------------
 
-/// A fault-injecting [`RequestSink`]. Called from the single client
-/// runtime thread, so an in-place delay preserves request FIFO. `sever`
+/// A fault-injecting [`RequestSink`]. Every call is made under the
+/// client's state lock, so an in-place delay preserves request FIFO. `sever`
 /// kills the underlying connection *abruptly* (no `Bye`), as a network
 /// fault would.
 pub(crate) struct ChaosSink {
@@ -245,16 +245,8 @@ pub(crate) struct ChaosPort {
 }
 
 impl ChaosPort {
-    /// Wraps `inner`. `on_sever` runs (once) when the schedule kills the
-    /// connection, *after* `inner.close()` — transports that do not
-    /// notice peer death on their own (the in-process channel) use it to
-    /// tell the server the client is gone.
-    pub(crate) fn new(
-        inner: Arc<dyn ClientPort>,
-        cfg: ChaosConfig,
-        stream: u64,
-        on_sever: Box<dyn Fn() + Send>,
-    ) -> ChaosPort {
+    /// Wraps `inner`; the schedule kills the connection by closing it.
+    pub(crate) fn new(inner: Arc<dyn ClientPort>, cfg: ChaosConfig, stream: u64) -> ChaosPort {
         let (tx, rx) = crossbeam::channel::unbounded::<PortCmd>();
         let mut state = ChaosState::new(cfg, stream);
         std::thread::Builder::new()
@@ -287,7 +279,6 @@ impl ChaosPort {
                     }
                     if severed {
                         inner.close();
-                        on_sever();
                     }
                 }
                 inner.close();
@@ -389,20 +380,13 @@ mod tests {
             delivered: AtomicUsize::new(0),
             closed: AtomicUsize::new(0),
         });
-        let severed = Arc::new(AtomicUsize::new(0));
         let cfg = ChaosConfig {
             seed: 1,
             reset_per_10k: 10_000, // sever on the very first envelope
             max_events: 1,
             ..ChaosConfig::none()
         };
-        let on_sever = {
-            let severed = severed.clone();
-            Box::new(move || {
-                severed.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        let port = ChaosPort::new(inner.clone(), cfg, 0, on_sever);
+        let port = ChaosPort::new(inner.clone(), cfg, 0);
         for _ in 0..4 {
             assert!(port.deliver(env()));
         }
@@ -419,7 +403,10 @@ mod tests {
             0,
             "reset precedes delivery"
         );
-        assert_eq!(severed.load(Ordering::SeqCst), 1, "on_sever fires once");
-        assert!(inner.closed.load(Ordering::SeqCst) >= 1);
+        assert_eq!(
+            inner.closed.load(Ordering::SeqCst),
+            2,
+            "closed once by the sever, once by the shutdown"
+        );
     }
 }

@@ -1,35 +1,166 @@
-//! The per-client runtime thread: drives the client protocol engine,
-//! manages the byte-level cache (parsed page images plus an overlay for
-//! oversize/forwarded objects), and services the application's session.
+//! The per-client runtime: the client protocol engine plus the byte-level
+//! cache (parsed page images and an overlay for oversize/forwarded
+//! objects), kept as passive shared state that whoever has input drives.
+//! Application calls run it on the calling thread — a cache hit costs one
+//! lock, no thread hop — and the `fgs-client-N` pump thread runs it for
+//! server messages (DESIGN.md §8).
 
 use crate::error::TxnError;
 use crate::transport::{ClientParams, RequestSink};
-use crate::wire::{into_owned, AppCmd, ClientMsg, SharedBytes, ToClient};
-use crossbeam::channel::{Receiver, Sender};
+use crate::wire::{into_owned, ClientMsg, SharedBytes, ToClient};
+use crossbeam::channel::Receiver;
 use fgs_core::client::{ClientAction, ClientEngine, TxnOutcome};
+use fgs_core::sync::{Condvar, Mutex, MutexGuard};
 use fgs_core::{
-    AbortReason, ClientId, DataGrant, Oid, PageId, Protocol, Request, ServerMsg, SlotId, TxnId,
+    AbortReason, ClientId, ClientStats, DataGrant, Oid, PageId, Protocol, Request, ServerMsg,
+    SlotId, TxnId,
 };
 use fgs_pagestore::{Record, SlottedPage};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+/// How long one call may stay parked before the connection is declared
+/// dead. Overridable (in milliseconds) with `FGS_RPC_TIMEOUT_MS` — the
+/// chaos harness shortens it so wedged-run diagnostics don't take a minute.
+fn rpc_timeout() -> Duration {
+    static TIMEOUT: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
+    *TIMEOUT.get_or_init(|| {
+        std::env::var("FGS_RPC_TIMEOUT_MS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .map(Duration::from_millis)
+            .unwrap_or(Duration::from_secs(60))
+    })
+}
+
+/// An application call the engine may have to ask the server about.
 #[derive(Debug)]
-enum PendingApp {
-    Read {
-        oid: Oid,
-        reply: Sender<Result<Vec<u8>, TxnError>>,
-    },
-    Write {
-        oid: Oid,
-        bytes: Vec<u8>,
-        reply: Sender<Result<(), TxnError>>,
-    },
-    Commit {
-        reply: Sender<Result<(), TxnError>>,
-    },
-    Abort {
-        reply: Sender<Result<(), TxnError>>,
-    },
+pub(crate) enum Call {
+    Read(Oid),
+    Write(Oid, Vec<u8>),
+    Commit,
+    Abort,
+}
+
+/// A call's result: the bytes read, or empty for calls that return nothing.
+type Reply = Result<Vec<u8>, TxnError>;
+
+/// One client workstation's state, shared by its [`Session`]s and its
+/// pump thread.
+///
+/// [`Session`]: crate::Session
+pub(crate) struct ClientShared {
+    state: Mutex<ClientRuntime>,
+    /// Signalled when the parked call completes.
+    done: Condvar,
+    timeout: Duration,
+}
+
+impl ClientShared {
+    pub(crate) fn new(
+        id: ClientId,
+        params: ClientParams,
+        sink: Box<dyn RequestSink>,
+    ) -> Arc<ClientShared> {
+        Arc::new(ClientShared {
+            state: Mutex::new(ClientRuntime::new(id, params, sink)),
+            done: Condvar::new(),
+            timeout: rpc_timeout(),
+        })
+    }
+
+    /// Locks the runtime for one application call. One call at a time: a
+    /// caller arriving while another is parked is refused — the engine is
+    /// mid-access and cannot safely take another operation.
+    fn enter(&self) -> Result<MutexGuard<'_, ClientRuntime>, TxnError> {
+        let rt = self.state.lock();
+        if let Some(e) = &rt.dead {
+            return Err(e.clone());
+        }
+        if rt.waiting.is_some() || rt.done.is_some() {
+            return Err(TxnError::TxnState(
+                "a call is already pending on this client",
+            ));
+        }
+        Ok(rt)
+    }
+
+    pub(crate) fn begin(&self) -> Result<(), TxnError> {
+        self.enter()?.begin()
+    }
+
+    pub(crate) fn stats(&self) -> Result<ClientStats, TxnError> {
+        Ok(self.enter()?.engine.stats().clone())
+    }
+
+    /// Runs one call on the calling thread: a hit completes right there
+    /// and returns without touching another thread; a miss or commit has
+    /// sent its request and parks until the pump completes it.
+    pub(crate) fn call(&self, call: Call) -> Reply {
+        let mut rt = self.enter()?;
+        rt.start(call)?;
+        let mut deadline = None;
+        loop {
+            if let Some(res) = rt.done.take() {
+                return res;
+            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                // The engine is still mid-access; a later call would
+                // overlap it. Declare the connection dead instead: the
+                // sink closes (telling the server the client is gone),
+                // every later call fails fast, and a late grant is dropped.
+                rt.close();
+                rt.done = None;
+                return Err(TxnError::Io("rpc timed out; connection closed".into()));
+            }
+            self.done.wait_for(&mut rt, left);
+        }
+    }
+
+    /// The `fgs-client-N` thread: feeds server messages to the runtime
+    /// until told to shut down (or every inbox sender is gone), then
+    /// closes it.
+    pub(crate) fn pump(&self, rx: Receiver<ClientMsg>) {
+        for msg in rx.iter() {
+            if matches!(msg, ClientMsg::Shutdown) {
+                break;
+            }
+            self.deliver(msg);
+        }
+        let mut rt = self.state.lock();
+        rt.close();
+        self.wake(rt);
+    }
+
+    /// Handles one inbox message under the lock, then wakes the parked
+    /// caller if that completed its call.
+    fn deliver(&self, msg: ClientMsg) {
+        let mut rt = self.state.lock();
+        match msg {
+            ClientMsg::Server(env) => rt.handle_server(env),
+            ClientMsg::ServerBatch(envs) => {
+                for env in envs {
+                    rt.handle_server(env);
+                }
+            }
+            ClientMsg::Lost => rt.conn_lost(),
+            ClientMsg::Shutdown => {}
+        }
+        self.wake(rt);
+    }
+
+    /// Notifies after the guard drops, so the woken caller finds the lock
+    /// free. At most one caller is ever parked.
+    fn wake(&self, rt: MutexGuard<'_, ClientRuntime>) {
+        let done = rt.done.is_some();
+        drop(rt);
+        if done {
+            self.done.notify_one();
+        }
+    }
 }
 
 pub(crate) struct ClientRuntime {
@@ -48,18 +179,22 @@ pub(crate) struct ClientRuntime {
     /// Slots updated by the active transaction (byte-merge bookkeeping).
     dirty: HashMap<PageId, HashSet<SlotId>>,
     txn_seq: u64,
-    pending: Option<PendingApp>,
+    /// The one call whose request is with the server; its caller is parked.
+    waiting: Option<Call>,
+    /// That call's result, until its caller picks it up.
+    done: Option<Reply>,
     /// The active transaction was killed server-side (deadlock victim or
     /// server failure); the error to surface on the pending or next call.
     killed: Option<TxnError>,
-    /// The transport lost the server: every call fails with
-    /// [`TxnError::Server`] from here on.
-    dead: bool,
+    /// Set once the runtime is beyond use; every call fails with this from
+    /// here on. [`TxnError::Server`]: the transport lost the server.
+    /// [`TxnError::Closed`]: shut down, or poisoned by an rpc timeout.
+    dead: Option<TxnError>,
     sink: Box<dyn RequestSink>,
 }
 
 impl ClientRuntime {
-    pub(crate) fn new(id: ClientId, params: ClientParams, sink: Box<dyn RequestSink>) -> Self {
+    fn new(id: ClientId, params: ClientParams, sink: Box<dyn RequestSink>) -> Self {
         ClientRuntime {
             id,
             protocol: params.protocol,
@@ -76,137 +211,53 @@ impl ClientRuntime {
             objects: HashMap::new(),
             dirty: HashMap::new(),
             txn_seq: params.first_txn_seq,
-            pending: None,
+            waiting: None,
+            done: None,
             killed: None,
-            dead: false,
+            dead: None,
             sink,
         }
     }
 
-    /// The runtime's main loop; returns when told to shut down or when the
-    /// engine is torn down. Application commands and server messages share
-    /// one inbox, so the per-client arrival order is exactly the handling
-    /// order.
-    pub(crate) fn run(mut self, rx: Receiver<ClientMsg>) {
-        for msg in rx.iter() {
-            match msg {
-                ClientMsg::App(cmd) => {
-                    if !self.handle_app(cmd) {
-                        return;
-                    }
-                }
-                ClientMsg::Server(env) => self.handle_server(env),
-                ClientMsg::ServerBatch(envs) => {
-                    for env in envs {
-                        self.handle_server(env);
-                    }
-                }
-                ClientMsg::Lost => self.conn_lost(),
-            }
+    // ------------------------------------------------------------------
+    // Application calls
+    // ------------------------------------------------------------------
+
+    fn begin(&mut self) -> Result<(), TxnError> {
+        if self.engine.has_active_txn() {
+            return Err(TxnError::TxnState("a transaction is already active"));
         }
+        self.txn_seq += 1;
+        self.killed = None;
+        self.engine.begin(TxnId::new(self.id, self.txn_seq));
+        Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Application commands
-    // ------------------------------------------------------------------
-
-    fn handle_app(&mut self, cmd: AppCmd) -> bool {
-        // One call at a time: a command arriving while another is still
-        // pending means the session abandoned that call (its rpc timed
-        // out). The engine is mid-access and cannot safely take another
-        // operation, so fail the newcomer instead of clobbering state.
-        // `Shutdown` is exempt — it is exactly what a timed-out session
-        // sends to tear the connection down.
-        if self.pending.is_some() && !matches!(cmd, AppCmd::Shutdown) {
-            let e = TxnError::TxnState("a call is already pending on this client");
-            match cmd {
-                AppCmd::Begin { reply }
-                | AppCmd::Write { reply, .. }
-                | AppCmd::Commit { reply }
-                | AppCmd::Abort { reply } => {
-                    let _ = reply.send(Err(e));
-                }
-                AppCmd::Read { reply, .. } => {
-                    let _ = reply.send(Err(e));
-                }
-                AppCmd::Stats { reply } => {
-                    let _ = reply.send(Err(e));
-                }
-                AppCmd::Shutdown => unreachable!(),
+    /// Validates `call` and feeds it to the engine, which either completes
+    /// it from the cache or sends the server a request for it.
+    fn start(&mut self, call: Call) -> Result<(), TxnError> {
+        let slot = match &call {
+            Call::Read(oid) | Call::Write(oid, _) => oid.slot,
+            Call::Commit | Call::Abort => 0,
+        };
+        self.txn_guard(slot)?;
+        let outcome = match &call {
+            Call::Read(oid) => self.engine.access(*oid, false),
+            Call::Write(_, bytes) if bytes.len() > self.max_object_bytes => {
+                return Err(TxnError::ObjectTooLarge)
             }
-            return true;
-        }
-        match cmd {
-            AppCmd::Begin { reply } => {
-                let res = if self.dead {
-                    Err(TxnError::Server)
-                } else if self.engine.has_active_txn() {
-                    Err(TxnError::TxnState("a transaction is already active"))
-                } else {
-                    self.txn_seq += 1;
-                    self.killed = None;
-                    self.engine.begin(TxnId::new(self.id, self.txn_seq));
-                    Ok(())
-                };
-                let _ = reply.send(res);
-            }
-            AppCmd::Read { oid, reply } => {
-                if let Err(e) = self.txn_guard(oid.slot) {
-                    let _ = reply.send(Err(e));
-                    return true;
-                }
-                self.pending = Some(PendingApp::Read { oid, reply });
-                let outcome = self.engine.access(oid, false);
-                self.handle_actions(outcome.actions);
-            }
-            AppCmd::Write { oid, bytes, reply } => {
-                if let Err(e) = self.txn_guard(oid.slot) {
-                    let _ = reply.send(Err(e));
-                    return true;
-                }
-                if bytes.len() > self.max_object_bytes {
-                    let _ = reply.send(Err(TxnError::ObjectTooLarge));
-                    return true;
-                }
-                self.pending = Some(PendingApp::Write { oid, bytes, reply });
-                let outcome = self.engine.access(oid, true);
-                self.handle_actions(outcome.actions);
-            }
-            AppCmd::Commit { reply } => {
-                if let Err(e) = self.txn_guard(0) {
-                    let _ = reply.send(Err(e));
-                    return true;
-                }
-                self.pending = Some(PendingApp::Commit { reply });
-                let outcome = self.engine.commit();
-                self.handle_actions(outcome.actions);
-            }
-            AppCmd::Abort { reply } => {
-                if let Err(e) = self.txn_guard(0) {
-                    let _ = reply.send(Err(e));
-                    return true;
-                }
-                self.pending = Some(PendingApp::Abort { reply });
-                let outcome = self.engine.abort();
-                self.handle_actions(outcome.actions);
-            }
-            AppCmd::Stats { reply } => {
-                let _ = reply.send(Ok(self.engine.stats().clone()));
-            }
-            AppCmd::Shutdown => {
-                self.sink.close();
-                return false;
-            }
-        }
-        true
+            Call::Write(oid, _) => self.engine.access(*oid, true),
+            Call::Commit => self.engine.commit(),
+            Call::Abort => self.engine.abort(),
+        };
+        self.waiting = Some(call);
+        self.handle_actions(outcome.actions);
+        Ok(())
     }
 
     /// Common per-call validation: server-abort surfacing, slot range,
     /// and transaction existence.
     fn txn_guard(&mut self, slot: SlotId) -> Result<(), TxnError> {
-        if self.dead {
-            return Err(TxnError::Server);
-        }
         if let Some(e) = self.killed.take() {
             return Err(e);
         }
@@ -377,64 +428,53 @@ impl ClientRuntime {
     }
 
     fn complete_access(&mut self, oid: Oid, write: bool) {
-        match self.pending.take() {
-            Some(PendingApp::Read { oid: o, reply }) => {
+        let res = match self.waiting.take() {
+            Some(Call::Read(o)) => {
                 debug_assert_eq!((o, write), (oid, false));
-                let res = self.read_local(oid).ok_or(TxnError::NoSuchObject);
-                let _ = reply.send(res);
+                self.read_local(oid).ok_or(TxnError::NoSuchObject)
             }
-            Some(PendingApp::Write {
-                oid: o,
-                bytes,
-                reply,
-            }) => {
+            Some(Call::Write(o, bytes)) => {
                 debug_assert_eq!((o, write), (oid, true));
                 self.apply_local_write(oid, bytes);
                 self.dirty.entry(oid.page).or_default().insert(oid.slot);
-                let _ = reply.send(Ok(()));
+                Ok(Vec::new())
             }
             other => {
-                if self.dead {
-                    // The pending call already failed in `conn_lost`;
-                    // envelopes queued before the loss still drain here.
+                if self.dead.is_some() {
+                    // The call already failed (connection loss, shutdown
+                    // or rpc timeout); envelopes queued before that still
+                    // drain here.
                     return;
                 }
                 panic!("grant without a matching app call: {other:?}")
             }
-        }
+        };
+        self.done = Some(res);
     }
 
     fn finish_txn(&mut self, outcome: TxnOutcome) {
         self.dirty.clear();
-        match (self.pending.take(), outcome) {
-            (Some(PendingApp::Commit { reply }), TxnOutcome::Committed) => {
-                let _ = reply.send(Ok(()));
-            }
-            (Some(PendingApp::Abort { reply }), TxnOutcome::Aborted) => {
-                let _ = reply.send(Ok(()));
-            }
-            (Some(PendingApp::Commit { reply }), TxnOutcome::Deadlocked) => {
-                let _ = reply.send(Err(self.kill_error()));
-            }
-            (Some(PendingApp::Read { reply, .. }), TxnOutcome::Deadlocked) => {
-                let _ = reply.send(Err(self.kill_error()));
-            }
-            (Some(PendingApp::Write { reply, .. }), TxnOutcome::Deadlocked) => {
-                let _ = reply.send(Err(self.kill_error()));
+        let res = match (self.waiting.take(), outcome) {
+            (Some(Call::Commit), TxnOutcome::Committed)
+            | (Some(Call::Abort), TxnOutcome::Aborted) => Ok(Vec::new()),
+            (Some(Call::Commit | Call::Read(_) | Call::Write(..)), TxnOutcome::Deadlocked) => {
+                Err(self.kill_error())
             }
             (None, TxnOutcome::Deadlocked) => {
                 // Killed between app calls; `txn_guard` surfaces the
                 // error (already stashed in `self.killed`) next call.
                 let e = self.kill_error();
                 self.killed = Some(e);
+                return;
             }
-            (pending, outcome) => {
-                if self.dead {
+            (call, outcome) => {
+                if self.dead.is_some() {
                     return; // see `complete_access`
                 }
-                panic!("inconsistent transaction end: {pending:?} vs {outcome:?}")
+                panic!("inconsistent transaction end: {call:?} vs {outcome:?}")
             }
-        }
+        };
+        self.done = Some(res);
     }
 
     /// The error a server-side kill should surface (captured from the
@@ -444,22 +484,33 @@ impl ClientRuntime {
     }
 
     /// The transport lost the server (socket death or send failure): fail
-    /// the pending call and poison the runtime — every later call errors
+    /// the parked call and poison the runtime — every later call errors
     /// with [`TxnError::Server`]. The engine's protocol state is beyond
     /// repair without the server, so no local cleanup is attempted.
     fn conn_lost(&mut self) {
-        self.dead = true;
-        match self.pending.take() {
-            Some(PendingApp::Read { reply, .. }) => {
-                let _ = reply.send(Err(TxnError::Server));
-            }
-            Some(PendingApp::Write { reply, .. }) => {
-                let _ = reply.send(Err(TxnError::Server));
-            }
-            Some(PendingApp::Commit { reply }) | Some(PendingApp::Abort { reply }) => {
-                let _ = reply.send(Err(TxnError::Server));
-            }
-            None => {}
+        self.fail(TxnError::Server);
+    }
+
+    /// Shuts the runtime down for good (engine shutdown, or an rpc timeout
+    /// poisoning the connection): fails the parked call, and every later
+    /// call errors with [`TxnError::Closed`].
+    fn close(&mut self) {
+        self.fail(TxnError::Closed);
+    }
+
+    /// Says goodbye through the sink (once) — under the lock, so after
+    /// every request this runtime sent and with none to follow — and fails
+    /// the parked call and all later ones with `e`.
+    fn fail(&mut self, e: TxnError) {
+        if self.dead.is_none() {
+            self.sink.close();
+        }
+        if self.waiting.take().is_some() {
+            self.done = Some(Err(e.clone()));
+        }
+        // `Closed` is final: a connection loss noticed later keeps it.
+        if self.dead != Some(TxnError::Closed) {
+            self.dead = Some(e);
         }
     }
 
@@ -502,5 +553,367 @@ impl ClientRuntime {
                 self.overlay.insert(oid, bytes);
             }
         }
+    }
+}
+
+/// A client runtime over a recording sink, with no server and no pump
+/// thread: tests play those parts by hand.
+#[cfg(test)]
+mod testkit {
+    use super::*;
+    use crate::Session;
+    use crossbeam::channel::{unbounded, Sender};
+    use fgs_core::GrantLevel;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// What the sink saw.
+    pub(super) struct Wire {
+        pub sent: Mutex<Vec<Request>>,
+        pub closed: AtomicBool,
+        seen: Sender<Request>,
+    }
+
+    struct RecordingSink(Arc<Wire>);
+
+    impl RequestSink for RecordingSink {
+        fn send_request(
+            &self,
+            _from: ClientId,
+            req: Request,
+            _commit_data: Vec<(Oid, Vec<u8>)>,
+        ) -> Result<(), TxnError> {
+            self.0.sent.lock().push(req.clone());
+            let _ = self.0.seen.send(req);
+            Ok(())
+        }
+
+        fn close(&self) {
+            self.0.closed.store(true, Ordering::SeqCst);
+        }
+    }
+
+    pub(super) struct Rig {
+        pub session: Session,
+        pub shared: Arc<ClientShared>,
+        pub wire: Arc<Wire>,
+    }
+
+    pub(super) const PAGE: PageId = PageId(3);
+    pub(super) const FILL: [u8; 8] = [7; 8];
+
+    /// A PS-AA client (4 objects per page, 4-page cache) whose parked calls
+    /// time out after `timeout`, and a feed of every request it sends, for
+    /// a thread that must block until one is on the wire.
+    pub(super) fn rig(timeout: Duration) -> (Rig, Receiver<Request>) {
+        let (seen, requests) = unbounded();
+        let wire = Arc::new(Wire {
+            sent: Mutex::new(Vec::new()),
+            closed: AtomicBool::new(false),
+            seen,
+        });
+        let params = ClientParams {
+            protocol: Protocol::PsAa,
+            objects_per_page: 4,
+            page_size: 256,
+            client_cache_pages: 4,
+            first_txn_seq: 0,
+        };
+        let sink = Box::new(RecordingSink(wire.clone()));
+        let shared = Arc::new(ClientShared {
+            state: Mutex::new(ClientRuntime::new(ClientId(0), params, sink)),
+            done: Condvar::new(),
+            timeout,
+        });
+        let session = Session::new(0, shared.clone());
+        let rig = Rig {
+            session,
+            shared,
+            wire,
+        };
+        (rig, requests)
+    }
+
+    impl Rig {
+        pub fn txn(&self) -> TxnId {
+            self.shared.state.lock().engine.active_txn().expect("txn")
+        }
+
+        /// One server-bound call without a second thread: starts it, then
+        /// hands the runtime the server's `reply`, as a parked caller and
+        /// the pump would between them.
+        pub fn by_hand(&self, call: Call, reply: ToClient) -> Reply {
+            let mut rt = self.shared.state.lock();
+            rt.start(call)?;
+            assert!(rt.waiting.is_some(), "the call must miss");
+            rt.handle_server(reply);
+            rt.done.take().expect("the reply completes the call")
+        }
+    }
+
+    pub(super) fn control(msg: ServerMsg) -> ToClient {
+        ToClient {
+            msg,
+            page_image: None,
+            object_bytes: None,
+        }
+    }
+
+    /// A whole-page grant for `oid`'s page: every slot holds [`FILL`].
+    pub(super) fn page_grant(txn: TxnId, oid: Oid, write: bool) -> ToClient {
+        let mut image = SlottedPage::new(256);
+        for _ in 0..4 {
+            image.insert(&FILL).expect("fits");
+        }
+        let data = DataGrant::Page {
+            page: oid.page,
+            unavailable: Vec::new(),
+            epoch: 1,
+        };
+        ToClient {
+            msg: if write {
+                ServerMsg::WriteGranted {
+                    txn,
+                    oid,
+                    level: GrantLevel::Page,
+                    data,
+                }
+            } else {
+                ServerMsg::ReadGranted { txn, oid, data }
+            },
+            page_image: Some(Arc::new(image.as_bytes().to_vec())),
+            object_bytes: None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::*;
+    use super::*;
+    use crossbeam::channel::unbounded;
+    use fgs_core::{CallbackId, CallbackReply, CallbackTarget};
+    use std::sync::atomic::Ordering;
+
+    /// The rpc timeout where none should expire. A parked caller rechecks
+    /// its slot when it does, so a lost wake-up shows as a call taking
+    /// this long, not as an error.
+    const LONG: Duration = Duration::from_secs(5);
+    const OVERLAP: TxnError = TxnError::TxnState("a call is already pending on this client");
+
+    /// No pump thread exists here, so a call that returns was served
+    /// entirely on the calling thread.
+    #[test]
+    fn cache_hits_complete_on_the_calling_thread() {
+        let (rig, _) = rig(LONG);
+        let (a, b) = (Oid::new(PAGE, 0), Oid::new(PAGE, 1));
+        rig.session.begin().unwrap();
+        let grant = page_grant(rig.txn(), a, true);
+        rig.by_hand(Call::Write(a, b"v1".to_vec()), grant).unwrap();
+        let sent = rig.wire.sent.lock().len();
+
+        assert_eq!(rig.session.read(a).unwrap(), b"v1");
+        rig.session.write(b, b"v2".to_vec()).unwrap();
+        assert_eq!(rig.session.read(b).unwrap(), b"v2");
+        assert_eq!(rig.session.stats().unwrap().hits, 3);
+        assert_eq!(rig.wire.sent.lock().len(), sent, "a hit sends nothing");
+    }
+
+    /// The one ordering relaxation (DESIGN.md §12): a cached read may be
+    /// served while a callback for its page still sits in the inbox. The
+    /// outcome is that of the callback arriving after the read.
+    #[test]
+    fn a_hit_may_overtake_a_queued_callback() {
+        let (rig, _) = rig(LONG);
+        let a = Oid::new(PAGE, 0);
+        // Transaction 1 leaves the page cached.
+        rig.session.begin().unwrap();
+        let t1 = rig.txn();
+        rig.by_hand(Call::Read(a), page_grant(t1, a, false))
+            .unwrap();
+        rig.by_hand(Call::Commit, control(ServerMsg::CommitDone { txn: t1 }))
+            .unwrap();
+
+        rig.session.begin().unwrap();
+        let t2 = rig.txn();
+        let queued = control(ServerMsg::Callback {
+            callback: CallbackId(9),
+            page: PAGE,
+            target: CallbackTarget::PageAdaptive { slot: a.slot },
+        });
+        assert_eq!(rig.session.read(a).unwrap(), FILL);
+        rig.shared.deliver(ClientMsg::Server(queued));
+
+        let reply = |reply| Request::CallbackReply {
+            callback: CallbackId(9),
+            page: PAGE,
+            reply,
+        };
+        let busy = reply(CallbackReply::Busy {
+            conflicts: vec![t2],
+        });
+        assert_eq!(rig.wire.sent.lock().last(), Some(&busy));
+        assert!(rig.shared.state.lock().pages.contains_key(&PAGE));
+        // A read-only transaction that never asked the server commits
+        // locally; the deferred callback is answered then.
+        rig.session.commit().unwrap();
+        let purged = reply(CallbackReply::PagePurged { epoch: 1 });
+        assert_eq!(rig.wire.sent.lock().last(), Some(&purged));
+        let rt = rig.shared.state.lock();
+        assert!(!rt.pages.contains_key(&PAGE));
+        assert_eq!(rt.engine.stats().busy_replies, 1);
+    }
+
+    #[test]
+    fn a_second_caller_is_refused_while_a_miss_is_parked() {
+        let (rig, requests) = rig(LONG);
+        let a = Oid::new(PAGE, 0);
+        rig.session.begin().unwrap();
+        let txn = rig.txn();
+        let started = Instant::now();
+        let parked = {
+            let session = rig.session.clone();
+            std::thread::spawn(move || session.read(a))
+        };
+        // The first caller sends its request holding the lock and releases
+        // it only by parking, so the calls below find it parked.
+        assert_eq!(requests.recv().unwrap(), Request::Read { txn, oid: a });
+        assert_eq!(rig.session.read(a), Err(OVERLAP));
+        assert_eq!(rig.session.begin(), Err(OVERLAP));
+        rig.shared
+            .deliver(ClientMsg::Server(page_grant(txn, a, false)));
+        assert_eq!(parked.join().unwrap().unwrap(), FILL);
+        assert!(started.elapsed() < LONG, "the grant's wake-up was lost");
+    }
+
+    #[test]
+    fn an_rpc_timeout_poisons_the_client() {
+        let (rig, _) = rig(Duration::from_millis(30));
+        let a = Oid::new(PAGE, 0);
+        rig.session.begin().unwrap();
+        let txn = rig.txn();
+        assert_eq!(
+            rig.session.read(a),
+            Err(TxnError::Io("rpc timed out; connection closed".into()))
+        );
+        assert!(rig.wire.closed.load(Ordering::SeqCst));
+        assert_eq!(rig.session.read(a), Err(TxnError::Closed));
+        assert_eq!(rig.session.begin(), Err(TxnError::Closed));
+        // The grant, when it finally comes, is dropped.
+        rig.shared
+            .deliver(ClientMsg::Server(page_grant(txn, a, false)));
+        let rt = rig.shared.state.lock();
+        assert!(rt.waiting.is_none() && rt.done.is_none());
+    }
+
+    #[test]
+    fn shutdown_closes_the_state_under_a_parked_caller() {
+        let (rig, requests) = rig(LONG);
+        let (inbox, rx) = unbounded();
+        let pump = {
+            let shared = rig.shared.clone();
+            std::thread::spawn(move || shared.pump(rx))
+        };
+        rig.session.begin().unwrap();
+        let started = Instant::now();
+        let parked = {
+            let session = rig.session.clone();
+            std::thread::spawn(move || session.read(Oid::new(PAGE, 0)))
+        };
+        requests.recv().unwrap();
+        inbox.send(ClientMsg::Shutdown).unwrap();
+        assert_eq!(parked.join().unwrap(), Err(TxnError::Closed));
+        assert!(started.elapsed() < LONG, "the shutdown's wake-up was lost");
+        pump.join().unwrap();
+        assert!(rig.wire.closed.load(Ordering::SeqCst));
+        assert_eq!(rig.session.begin(), Err(TxnError::Closed));
+    }
+}
+
+/// Model checks of caller ↔ pump, run only under `RUSTFLAGS="--cfg loom"`
+/// (DESIGN.md §10): the state mutex and condvar resolve to `loom::sync`
+/// types through [`fgs_core::sync`], so the explored schedules drive the
+/// production `call`/`deliver` paths.
+#[cfg(all(test, loom))]
+mod loom_tests {
+    use super::testkit::*;
+    use super::*;
+    use loom::thread;
+
+    const NO_TXN: TxnError = TxnError::TxnState("no active transaction");
+
+    /// Runs `caller` against a pump that waits for the caller's first
+    /// request (its read miss), then delivers what `script` answers it
+    /// with. A parked caller rechecks its slot when the rpc timeout
+    /// expires, so a lost wake-up shows as the run taking that long.
+    fn model(script: fn(TxnId, Oid) -> Vec<ClientMsg>, caller: fn(&Rig, thread::JoinHandle<()>)) {
+        loom::model(move || {
+            let timeout = Duration::from_secs(5);
+            let (rig, requests) = rig(timeout);
+            let started = Instant::now();
+            let shared = rig.shared.clone();
+            let pump = thread::spawn(move || {
+                let Ok(Request::Read { txn, oid }) = requests.recv() else {
+                    panic!("the caller's first request is its read miss");
+                };
+                for msg in script(txn, oid) {
+                    shared.deliver(msg);
+                }
+            });
+            caller(&rig, pump);
+            assert!(started.elapsed() < timeout, "a wake-up was lost");
+        });
+    }
+
+    #[test]
+    fn a_parked_miss_is_woken_by_its_grant() {
+        model(
+            |txn, oid| vec![ClientMsg::Server(page_grant(txn, oid, false))],
+            |rig, pump| {
+                rig.session.begin().unwrap();
+                assert_eq!(rig.session.read(Oid::new(PAGE, 0)).unwrap(), FILL);
+                pump.join().unwrap();
+            },
+        );
+    }
+
+    #[test]
+    fn an_abort_between_calls_surfaces_exactly_once() {
+        model(
+            |txn, oid| {
+                let reason = AbortReason::Deadlock;
+                vec![
+                    ClientMsg::Server(page_grant(txn, oid, false)),
+                    ClientMsg::Server(control(ServerMsg::Aborted { txn, reason })),
+                ]
+            },
+            |rig, pump| {
+                let a = Oid::new(PAGE, 0);
+                rig.session.begin().unwrap();
+                assert_eq!(rig.session.read(a).unwrap(), FILL);
+                // Races the abort: a hit before it lands, the kill after.
+                let racing = rig.session.read(a);
+                pump.join().unwrap();
+                let after = [rig.session.read(a), rig.session.read(a)];
+                let kills = std::iter::once(&racing)
+                    .chain(&after)
+                    .filter(|r| **r == Err(TxnError::Deadlock))
+                    .count();
+                assert_eq!(kills, 1, "{racing:?} then {after:?}");
+                assert_eq!(after[1], Err(NO_TXN));
+            },
+        );
+    }
+
+    #[test]
+    fn a_lost_connection_fails_the_parked_caller() {
+        model(
+            |_, _| vec![ClientMsg::Lost],
+            |rig, pump| {
+                rig.session.begin().unwrap();
+                assert_eq!(rig.session.read(Oid::new(PAGE, 0)), Err(TxnError::Server));
+                pump.join().unwrap();
+                assert_eq!(rig.session.begin(), Err(TxnError::Server));
+            },
+        );
     }
 }

@@ -29,13 +29,6 @@ pub struct EngineConfig {
     /// client's request order while requests from different clients are
     /// handled concurrently. Capped at `n_clients` at startup.
     pub server_workers: usize,
-    /// Historical group-commit gather target. The asynchronous
-    /// durability pipeline (dedicated log-writer thread, double-buffered
-    /// appends) subsumed timed gathering: force coalescing now falls out
-    /// of the writer's cycle time, so this knob no longer affects the
-    /// pipeline. Kept (and still validated) for configuration
-    /// compatibility.
-    pub group_commit_batch: usize,
     /// Run the server engine's internal invariant checks after every
     /// request even in release builds (always on under
     /// `debug_assertions`). Expensive; for stress tests.
@@ -69,7 +62,6 @@ impl Default for EngineConfig {
             client_cache_pages: 16,
             server_pool_pages: 32,
             server_workers: 4,
-            group_commit_batch: 8,
             paranoid: false,
             transport: TransportKind::from_env(),
             txn_epoch: 0,
@@ -86,7 +78,6 @@ impl EngineConfig {
         assert!(self.n_clients > 0);
         assert!(self.client_cache_pages > 0 && self.server_pool_pages > 0);
         assert!(self.server_workers > 0);
-        assert!(self.group_commit_batch > 0);
         assert!(self.page_size >= 64);
         // All objects must fit a fresh page alongside the directory.
         let payload = (self.object_size + 1 + 4) * self.objects_per_page as usize;

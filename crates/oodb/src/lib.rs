@@ -8,10 +8,13 @@
 //! by the completion router once the durable watermark passes them), the
 //! protocol engine runs single-writer under a small lock, and data
 //! payloads are attached outside it. Each client workstation is
-//! a runtime thread with its own cache (page images or objects) driven
-//! by the client protocol engine — the *same* `fgs-core` engines the
-//! simulator evaluates, so the measured protocols and the executable
-//! system cannot diverge.
+//! passive state — its own cache (page images or objects) driven by the
+//! client protocol engine — that a [`Session`] call runs on the calling
+//! thread, so an access to a cached object costs a lock and no message
+//! or thread hop; one pump thread per client feeds it the server's
+//! messages. The engines are the *same* `fgs-core` engines the simulator
+//! evaluates, so the measured protocols and the executable system cannot
+//! diverge.
 //!
 //! Features:
 //!
@@ -74,12 +77,12 @@ pub use session::Session;
 pub use transport::TransportKind;
 
 use crate::chaos::ChaosPort;
-use crate::client::ClientRuntime;
+use crate::client::ClientShared;
 use crate::server::{log_writer_loop, sender_loop, SeqBatch, ServerRuntime};
 use crate::transport::channel::{ChannelPort, ChannelSink};
 use crate::transport::tcp::{TcpConnection, TcpServer, WelcomeInfo};
 use crate::transport::{ClientParams, ClientPort, PortMap};
-use crate::wire::{AppCmd, ClientMsg, ToServer};
+use crate::wire::{ClientMsg, ToServer};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fgs_core::server::ServerEngine;
 use fgs_core::{ClientId, ServerStats};
@@ -196,11 +199,12 @@ impl ServerCore {
 }
 
 /// An embedded page-server database: a sharded server worker pool plus
-/// one runtime thread per client workstation, wired over the configured
-/// [`TransportKind`].
+/// one client runtime (and its pump thread) per client workstation, wired
+/// over the configured [`TransportKind`].
 pub struct Oodb {
     config: EngineConfig,
     core: ServerCore,
+    clients: Vec<Arc<ClientShared>>,
     client_txs: Vec<Sender<ClientMsg>>,
     client_threads: Vec<JoinHandle<()>>,
     /// The loopback listener when running over [`TransportKind::Tcp`].
@@ -247,9 +251,10 @@ impl Oodb {
     fn start(config: EngineConfig, store: Store) -> std::io::Result<Oodb> {
         let core = ServerCore::start(&config, store, config.n_clients);
         let params = ClientParams::from_config(&config);
+        let mut clients = Vec::new();
         let mut client_threads = Vec::new();
 
-        // Per-client inbox (application commands + server messages).
+        // Per-client pump inbox (server messages).
         let mut client_txs = Vec::new();
         let mut client_rxs = Vec::new();
         for _ in 0..config.n_clients {
@@ -271,29 +276,22 @@ impl Oodb {
                     let port: Arc<dyn ClientPort> = match config.chaos {
                         // Fault injection: deliveries pass through a
                         // seeded chaos schedule (stream = client id).
-                        // Severing closes the inner port (the runtime
-                        // sees `Lost`, like a dead socket) and reports
-                        // the disconnect to the engine through the
-                        // client's own worker shard.
-                        Some(cfg) => {
-                            let worker = core.worker_txs[i % n_workers].clone();
-                            let from = ClientId(i as u16);
-                            Arc::new(ChaosPort::new(
-                                inner,
-                                cfg,
-                                i as u64,
-                                Box::new(move || {
-                                    let _ = worker.send(ToServer::Disconnect { from });
-                                }),
-                            ))
-                        }
+                        // Severing closes the inner port: the runtime
+                        // sees `Lost`, like a dead socket, and says
+                        // goodbye to the engine through its sink.
+                        Some(cfg) => Arc::new(ChaosPort::new(inner, cfg, i as u64)),
                         None => inner,
                     };
                     core.ports
                         .register_port(Some(i as u16), port)
                         .expect("register embedded client");
-                    let sink = Box::new(ChannelSink::new(core.worker_txs[i % n_workers].clone()));
-                    client_threads.push(spawn_client(ClientId(i as u16), params, sink, crx));
+                    let sink = Box::new(ChannelSink::new(
+                        ClientId(i as u16),
+                        core.worker_txs[i % n_workers].clone(),
+                    ));
+                    let (shared, pump) = spawn_client(ClientId(i as u16), params, sink, crx);
+                    clients.push(shared);
+                    client_threads.push(pump);
                 }
                 None
             }
@@ -309,7 +307,9 @@ impl Oodb {
                     let conn = TcpConnection::connect(addr, Some(i as u16))?;
                     let sink = Box::new(conn.sink());
                     client_threads.push(conn.spawn_reader(client_txs[i].clone()));
-                    client_threads.push(spawn_client(ClientId(i as u16), params, sink, crx));
+                    let (shared, pump) = spawn_client(ClientId(i as u16), params, sink, crx);
+                    clients.push(shared);
+                    client_threads.push(pump);
                 }
                 Some(server)
             }
@@ -317,6 +317,7 @@ impl Oodb {
         Ok(Oodb {
             config,
             core,
+            clients,
             client_txs,
             client_threads,
             tcp,
@@ -330,7 +331,7 @@ impl Oodb {
 
     /// A session for client `client` (one transaction at a time each).
     pub fn session(&self, client: u16) -> Session {
-        Session::new(client, self.client_txs[client as usize].clone())
+        Session::new(client, self.clients[client as usize].clone())
     }
 
     /// Server-side protocol counters.
@@ -338,7 +339,7 @@ impl Oodb {
         self.core.runtime.engine_stats()
     }
 
-    /// Commit-durability counters (group-commit batching, log forces).
+    /// Commit-durability counters (commits, log-writer cycles, log forces).
     pub fn store_stats(&self) -> StoreStats {
         self.core.runtime.store_stats()
     }
@@ -385,10 +386,11 @@ impl Oodb {
 
     fn shutdown_inner(&mut self) {
         let _ = self.checkpoint();
-        // Clients first (runtimes close their sinks on the way out), then
-        // the transport, then the pipeline.
+        // Clients first (each pump closes its runtime — and the sink — on
+        // the way out, so a `Session` still around fails with `Closed`),
+        // then the transport, then the pipeline.
         for tx in &self.client_txs {
-            let _ = tx.send(ClientMsg::App(AppCmd::Shutdown));
+            let _ = tx.send(ClientMsg::Shutdown);
         }
         for t in self.client_threads.drain(..) {
             let _ = t.join();
@@ -408,16 +410,21 @@ impl Drop for Oodb {
     }
 }
 
-/// Spawns one client runtime thread over its transport sink.
+/// Creates one client runtime over its transport sink and spawns the pump
+/// thread that feeds it the server messages arriving on `rx`.
 fn spawn_client(
     id: ClientId,
     params: ClientParams,
     sink: Box<dyn transport::RequestSink>,
     rx: Receiver<ClientMsg>,
-) -> JoinHandle<()> {
-    let rt = ClientRuntime::new(id, params, sink);
-    std::thread::Builder::new()
-        .name(format!("fgs-client-{}", id.0))
-        .spawn(move || rt.run(rx))
-        .expect("spawn client")
+) -> (Arc<ClientShared>, JoinHandle<()>) {
+    let shared = ClientShared::new(id, params, sink);
+    let pump = {
+        let shared = shared.clone();
+        std::thread::Builder::new()
+            .name(format!("fgs-client-{}", id.0))
+            .spawn(move || shared.pump(rx))
+            .expect("spawn client")
+    };
+    (shared, pump)
 }

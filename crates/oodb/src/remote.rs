@@ -9,8 +9,9 @@
 //! sink and the inbox feed differ (DESIGN.md §12).
 
 use crate::chaos::{ChaosConfig, ChaosSink};
+use crate::client::ClientShared;
 use crate::transport::tcp::{TcpConnection, TcpServer, WelcomeInfo};
-use crate::wire::{AppCmd, ClientMsg};
+use crate::wire::ClientMsg;
 use crate::{EngineConfig, ServerCore, Session};
 use crossbeam::channel::{unbounded, Sender};
 use fgs_core::{ClientId, ServerStats};
@@ -115,7 +116,7 @@ impl ServerHandle {
         self.core.runtime.engine_stats()
     }
 
-    /// Commit-durability counters (group-commit batching, log forces).
+    /// Commit-durability counters (commits, log-writer cycles, log forces).
     pub fn store_stats(&self) -> StoreStats {
         self.core.runtime.store_stats()
     }
@@ -180,6 +181,7 @@ impl Drop for ServerHandle {
 /// a fresh `RemoteClient`.
 pub struct RemoteClient {
     client: u16,
+    shared: Arc<ClientShared>,
     tx: Sender<ClientMsg>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -202,11 +204,12 @@ impl RemoteClient {
         let sink = Box::new(conn.sink());
         let (tx, rx) = unbounded();
         let reader = conn.spawn_reader(tx.clone());
-        let runtime = crate::spawn_client(ClientId(client), params, sink, rx);
+        let (shared, pump) = crate::spawn_client(ClientId(client), params, sink, rx);
         Ok(RemoteClient {
             client,
+            shared,
             tx,
-            threads: vec![reader, runtime],
+            threads: vec![reader, pump],
         })
     }
 
@@ -258,11 +261,12 @@ impl RemoteClient {
         ));
         let (tx, rx) = unbounded();
         let reader = conn.spawn_reader(tx.clone());
-        let runtime = crate::spawn_client(ClientId(client), params, sink, rx);
+        let (shared, pump) = crate::spawn_client(ClientId(client), params, sink, rx);
         Ok(RemoteClient {
             client,
+            shared,
             tx,
-            threads: vec![reader, runtime],
+            threads: vec![reader, pump],
         })
     }
 
@@ -273,7 +277,7 @@ impl RemoteClient {
 
     /// A session on this workstation (one transaction at a time).
     pub fn session(&self) -> Session {
-        Session::new(self.client, self.tx.clone())
+        Session::new(self.client, self.shared.clone())
     }
 
     /// Says goodbye to the server and stops the runtime.
@@ -282,7 +286,7 @@ impl RemoteClient {
     }
 
     fn shutdown_inner(&mut self) {
-        let _ = self.tx.send(ClientMsg::App(AppCmd::Shutdown));
+        let _ = self.tx.send(ClientMsg::Shutdown);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

@@ -1,40 +1,36 @@
 //! The application-facing session API.
 
+use crate::client::{Call, ClientShared};
 use crate::error::TxnError;
-use crate::wire::{AppCmd, ClientMsg};
-use crossbeam::channel::{bounded, Sender};
 use fgs_core::{ClientStats, Oid};
-use std::time::Duration;
+use std::fmt;
+use std::sync::Arc;
 
-/// How long one call may block before the connection is declared dead.
-/// Overridable (in milliseconds) with `FGS_RPC_TIMEOUT_MS` — the chaos
-/// harness shortens it so wedged-run diagnostics don't take a minute.
-fn rpc_timeout() -> Duration {
-    static TIMEOUT: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
-    *TIMEOUT.get_or_init(|| {
-        std::env::var("FGS_RPC_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_millis)
-            .unwrap_or(Duration::from_secs(60))
-    })
-}
-
-/// A handle onto one client workstation. One transaction runs at a time;
-/// calls block until the engine grants (or aborts) them.
+/// A handle onto one client workstation. One transaction runs at a time.
+/// Calls run the client's protocol engine and cache on the calling thread:
+/// an access to a cached, locally permitted object returns at once, and
+/// anything that needs the server blocks until it grants (or aborts) it.
 ///
 /// `Session` is cheap to clone, but concurrent calls from multiple threads
 /// against the same client violate the one-transaction-per-client model —
 /// give each thread its own client instead.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Session {
     client: u16,
-    tx: Sender<ClientMsg>,
+    shared: Arc<ClientShared>,
+}
+
+impl fmt::Debug for Session {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Session")
+            .field("client", &self.client)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Session {
-    pub(crate) fn new(client: u16, tx: Sender<ClientMsg>) -> Self {
-        Session { client, tx }
+    pub(crate) fn new(client: u16, shared: Arc<ClientShared>) -> Self {
+        Session { client, shared }
     }
 
     /// The client id this session drives.
@@ -44,33 +40,32 @@ impl Session {
 
     /// Starts a transaction.
     pub fn begin(&self) -> Result<(), TxnError> {
-        self.rpc(|reply| AppCmd::Begin { reply })
+        self.shared.begin()
     }
 
     /// Reads an object. Blocks while the object is write-locked remotely.
     pub fn read(&self, oid: Oid) -> Result<Vec<u8>, TxnError> {
-        self.rpc(|reply| AppCmd::Read { oid, reply })
+        self.shared.call(Call::Read(oid))
     }
 
     /// Writes an object (acquiring the write lock per the protocol).
     pub fn write(&self, oid: Oid, bytes: impl Into<Vec<u8>>) -> Result<(), TxnError> {
-        let bytes = bytes.into();
-        self.rpc(move |reply| AppCmd::Write { oid, bytes, reply })
+        self.shared.call(Call::Write(oid, bytes.into())).map(drop)
     }
 
     /// Commits the transaction (durable once this returns).
     pub fn commit(&self) -> Result<(), TxnError> {
-        self.rpc(|reply| AppCmd::Commit { reply })
+        self.shared.call(Call::Commit).map(drop)
     }
 
     /// Voluntarily aborts the transaction.
     pub fn abort(&self) -> Result<(), TxnError> {
-        self.rpc(|reply| AppCmd::Abort { reply })
+        self.shared.call(Call::Abort).map(drop)
     }
 
     /// This client's protocol counters.
     pub fn stats(&self) -> Result<ClientStats, TxnError> {
-        self.rpc(|reply| AppCmd::Stats { reply })
+        self.shared.stats()
     }
 
     /// Runs `body` inside a transaction, retrying on deadlock up to
@@ -95,32 +90,6 @@ impl Session {
                     let _ = self.abort();
                     return Err(e);
                 }
-            }
-        }
-    }
-
-    fn rpc<T>(
-        &self,
-        make: impl FnOnce(Sender<Result<T, TxnError>>) -> AppCmd,
-    ) -> Result<T, TxnError>
-    where
-        T: Send,
-    {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.tx
-            .send(ClientMsg::App(make(reply_tx)))
-            .map_err(|_| TxnError::Closed)?;
-        match reply_rx.recv_timeout(rpc_timeout()) {
-            Ok(res) => res,
-            Err(_) => {
-                // The call is still pending inside the runtime; issuing
-                // another command now would overlap it and corrupt the
-                // one-call-at-a-time protocol. Declare the connection
-                // dead instead: the runtime shuts down (closing its
-                // transport, which tells the server the client is gone)
-                // and every later call fails fast with `Closed`.
-                let _ = self.tx.send(ClientMsg::App(AppCmd::Shutdown));
-                Err(TxnError::Io("rpc timed out; connection closed".into()))
             }
         }
     }

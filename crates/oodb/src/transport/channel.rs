@@ -13,12 +13,13 @@ use fgs_core::{ClientId, Oid, Request};
 
 /// Client→server over the worker shard's channel.
 pub(crate) struct ChannelSink {
+    from: ClientId,
     worker_tx: Sender<ToServer>,
 }
 
 impl ChannelSink {
-    pub(crate) fn new(worker_tx: Sender<ToServer>) -> ChannelSink {
-        ChannelSink { worker_tx }
+    pub(crate) fn new(from: ClientId, worker_tx: Sender<ToServer>) -> ChannelSink {
+        ChannelSink { from, worker_tx }
     }
 }
 
@@ -36,6 +37,16 @@ impl RequestSink for ChannelSink {
                 commit_data,
             })
             .map_err(|_| TxnError::Server)
+    }
+
+    /// Tells the engine the client is gone, as a dying TCP connection
+    /// does. It travels the request channel, so it lands after every
+    /// request the runtime sent — a notice from any other thread could be
+    /// overtaken by a request the runtime was still sending.
+    fn close(&self) {
+        let _ = self
+            .worker_tx
+            .send(ToServer::Disconnect { from: self.from });
     }
 }
 
@@ -56,7 +67,7 @@ impl ClientPort for ChannelPort {
     }
 
     /// A multi-envelope run is one enqueue (`ClientMsg::ServerBatch`), so
-    /// the runtime wakes once per run instead of once per envelope.
+    /// the pump wakes once per run instead of once per envelope.
     fn deliver_batch(&self, mut envs: Vec<ToClient>) -> bool {
         match envs.len() {
             0 => true,

@@ -95,8 +95,8 @@ pub(crate) trait RequestSink: Send {
         commit_data: Vec<(Oid, Vec<u8>)>,
     ) -> Result<(), TxnError>;
 
-    /// Says goodbye before the runtime exits (idempotent; channel
-    /// transports have nothing to do).
+    /// Says goodbye when the runtime closes or loses the server
+    /// (idempotent).
     fn close(&self) {}
 }
 

@@ -403,12 +403,7 @@ fn serve_conn(
         // accepted connection draws an independent sequence). Severing
         // shuts the socket; the read loop below then ends and reports the
         // disconnect, exactly like a real connection death.
-        Some(cfg) => Arc::new(ChaosPort::new(
-            Arc::new(tcp_port),
-            cfg,
-            conn,
-            Box::new(|| {}),
-        )),
+        Some(cfg) => Arc::new(ChaosPort::new(Arc::new(tcp_port), cfg, conn)),
         None => Arc::new(tcp_port),
     };
     let id = match ports.register_port(want, port.clone()) {

@@ -1,8 +1,6 @@
-//! Internal channel message types between sessions, client runtimes and
-//! the server thread.
+//! Internal channel message types between client runtimes and the server
+//! threads.
 
-use crate::error::TxnError;
-use crossbeam::channel::Sender;
 use fgs_core::{ClientId, Oid, Request, ServerMsg};
 
 pub(crate) use crate::codec::{into_owned, SharedBytes};
@@ -43,49 +41,24 @@ pub(crate) struct ToClient {
     pub object_bytes: Option<SharedBytes>,
 }
 
-/// The client runtime's single inbox: application commands and server
-/// messages arrive on one channel, so the runtime blocks on exactly one
-/// receiver (no polling, no select).
+/// The client pump thread's inbox: everything the transport delivers to
+/// one client, in per-client FIFO order (application calls never pass
+/// through here — they run the runtime on their own thread).
 #[derive(Debug)]
 pub(crate) enum ClientMsg {
-    /// A command from the application session.
-    App(AppCmd),
     /// An envelope from the server.
     Server(ToClient),
     /// A seq-contiguous run of envelopes delivered as one enqueue: the
     /// channel transport's zero-copy batch path (`ClientPort::deliver_batch`
-    /// on `ChannelPort`). The runtime handles the envelopes in order, so the
-    /// per-client ordering guarantee is unchanged.
+    /// on `ChannelPort`). The pump handles the envelopes in order under one
+    /// lock hold, so the per-client ordering guarantee is unchanged.
     ServerBatch(Vec<ToClient>),
-    /// The transport lost the server connection: every pending and future
-    /// call fails with [`TxnError::Server`]. Channel transports never send
-    /// this; the TCP reader does when the socket dies.
+    /// The transport lost the server connection: the parked call and every
+    /// future one fail with [`TxnError::Server`](crate::TxnError::Server).
+    /// Channel transports never send this; the TCP reader does when the
+    /// socket dies.
     Lost,
-}
-
-/// Application → client-runtime commands.
-#[derive(Debug)]
-pub(crate) enum AppCmd {
-    Begin {
-        reply: Sender<Result<(), TxnError>>,
-    },
-    Read {
-        oid: Oid,
-        reply: Sender<Result<Vec<u8>, TxnError>>,
-    },
-    Write {
-        oid: Oid,
-        bytes: Vec<u8>,
-        reply: Sender<Result<(), TxnError>>,
-    },
-    Commit {
-        reply: Sender<Result<(), TxnError>>,
-    },
-    Abort {
-        reply: Sender<Result<(), TxnError>>,
-    },
-    Stats {
-        reply: Sender<Result<fgs_core::ClientStats, TxnError>>,
-    },
+    /// The engine (or remote client) is shutting down: close the runtime
+    /// and stop the pump.
     Shutdown,
 }

@@ -21,7 +21,6 @@ fn config(protocol: Protocol) -> EngineConfig {
         client_cache_pages: 4,
         server_pool_pages: 8,
         server_workers: 4,
-        group_commit_batch: 8,
         paranoid: true,
         // Transport comes from `FGS_TRANSPORT` (the CI loopback-TCP lane
         // runs this whole suite over sockets).

@@ -28,7 +28,6 @@ fn config(protocol: Protocol, n_clients: u16) -> EngineConfig {
         client_cache_pages: 4,
         server_pool_pages: 16,
         server_workers: 2,
-        group_commit_batch: 4,
         paranoid: true,
         ..EngineConfig::default()
     }

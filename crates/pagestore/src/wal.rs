@@ -483,7 +483,17 @@ impl Wal {
     pub fn set_hold(&self, hold: WalHold) {
         let mut g = self.inner.lock();
         match hold {
-            WalHold::None | WalHold::BeforeSeal => {}
+            // A hold can strand a sealed segment: `BeforeWrite` makes one,
+            // and any hold can catch the writer between its seal and its
+            // write. Write it out on release, so the single cycle the
+            // release triggers can seal — and force — what was appended
+            // under the hold; otherwise that cycle only drains the
+            // stranded segment, the writer parks believing it is caught
+            // up, and the acks of those appends wait for the next commit.
+            WalHold::None => {
+                g.write_sealed_segment();
+            }
+            WalHold::BeforeSeal => {}
             WalHold::BeforeWrite => {
                 g.seal_active();
             }
@@ -798,13 +808,15 @@ mod tests {
             assert_eq!(wal.crash_bytes(0).len() as u64, durable);
             let full = wal.crash_bytes(usize::MAX);
             assert_eq!(full.len() as u64, wal.len(), "{hold:?}: remainder lost");
-            // Releasing the hold lets the writer finish the cycle.
+            // Appends keep landing under the hold. Releasing it lets one
+            // writer cycle make all of it durable, those appends included.
+            wal.append(&LogRecord::Begin { txn: txn(1, 2) });
             wal.set_hold(WalHold::None);
             wal.seal();
             wal.write_sealed();
             wal.force_written();
-            assert_eq!(wal.flushed(), wal.len());
-            assert_eq!(wal.replay().len(), 2);
+            assert_eq!(wal.flushed(), wal.len(), "{hold:?}: one cycle left a tail");
+            assert_eq!(wal.replay().len(), 3);
         }
     }
 
