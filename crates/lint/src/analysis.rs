@@ -20,6 +20,7 @@
 use crate::lexer::{Tok, TokKind};
 use crate::model::{LockClass, Rule, Violation};
 use crate::parser::{parse, FileFacts, FnDef};
+use crate::protocol_model::ROLE_EXEMPT_ORIGIN_OWNERS;
 use std::collections::{HashMap, HashSet};
 
 /// Method names so common on std types that an unhinted receiver must not
@@ -168,7 +169,9 @@ struct Effects {
 }
 
 impl Effects {
-    fn absorb(&mut self, other: &Effects, via: &str) -> bool {
+    /// Merges a callee's effects; `with_sends = false` leaves its wire
+    /// sends behind (see the role-exempt owners in `protocol_model`).
+    fn absorb(&mut self, other: &Effects, via: &str, with_sends: bool) -> bool {
         let mut changed = false;
         for (&c, w) in &other.acquires {
             if let std::collections::hash_map::Entry::Vacant(e) = self.acquires.entry(c) {
@@ -176,10 +179,12 @@ impl Effects {
                 changed = true;
             }
         }
-        for (path, w) in &other.sends {
-            if !self.sends.contains_key(path) {
-                self.sends.insert(path.clone(), format!("{via} -> {w}"));
-                changed = true;
+        if with_sends {
+            for (path, w) in &other.sends {
+                if !self.sends.contains_key(path) {
+                    self.sends.insert(path.clone(), format!("{via} -> {w}"));
+                    changed = true;
+                }
             }
         }
         if other.channel && !self.channel {
@@ -601,7 +606,16 @@ impl Workspace {
                 let (callees, channel) = self.resolve(&recv, &name, f);
                 let mut fx = Effects::default();
                 for &c in &callees {
-                    fx.absorb(&effects[c], &callee_desc(self.fndef(c)));
+                    // A role-exempt owner's sends stay with it: the origin
+                    // pass polices its direct constructions, and its
+                    // name-resolved delivery graph is exactly what the
+                    // exemption distrusts — callers must not inherit it.
+                    let callee = self.fndef(c);
+                    let exempt = callee
+                        .owner
+                        .as_deref()
+                        .is_some_and(|o| ROLE_EXEMPT_ORIGIN_OWNERS.contains(&o));
+                    fx.absorb(&effects[c], &callee_desc(callee), !exempt);
                 }
                 if channel {
                     fx.channel = true;
@@ -616,7 +630,7 @@ impl Workspace {
                     f,
                     &mut violations,
                 );
-                own.absorb(&fx, &name);
+                own.absorb(&fx, &name, true);
                 i += 1;
                 continue;
             }

@@ -252,10 +252,12 @@ pub const SERVER_ROLE_OWNERS: &[&str] = &["ServerEngine", "ServerRuntime"];
 /// design (its event loop calls `ClientEngine::handle_server`, which
 /// legitimately constructs `Request`s), and `CompletionRouter`'s delivery
 /// path (`deliver_batch`/`deliver`) shares method names with the
-/// simulator's, so the name-based graph bleeds one into the other.
-/// Their *direct* constructions are still fully policed by the origin
-/// pass — each may construct exactly the durability-gated `CommitDone`,
-/// and only in the function the origin table names.
+/// simulator's, so the name-based graph bleeds one into the other. For
+/// the same reason their send sets do not flow to their callers (server
+/// workers deliver through the router). Their *direct* constructions are
+/// still fully policed by the origin pass — each may construct exactly
+/// the durability-gated `CommitDone`, and only in the function the
+/// origin table names.
 pub const ROLE_EXEMPT_ORIGIN_OWNERS: &[&str] = &["CompletionRouter", "Simulator"];
 
 /// Crate sub-paths whose sources must stay deterministic: the simulation

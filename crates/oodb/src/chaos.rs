@@ -238,8 +238,8 @@ enum PortCmd {
 
 /// A fault-injecting [`ClientPort`]. Envelopes are handed to a dedicated
 /// delivery thread (one per port), so injected delays stall only this
-/// client while the send stage keeps running; the thread delivers in
-/// arrival order, preserving the engine-order FIFO.
+/// client while the server worker that delivered moves on; the thread
+/// delivers in arrival order, preserving the engine-order FIFO.
 pub(crate) struct ChaosPort {
     tx: crossbeam::channel::Sender<PortCmd>,
 }

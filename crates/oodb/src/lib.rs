@@ -78,10 +78,10 @@ pub use transport::TransportKind;
 
 use crate::chaos::ChaosPort;
 use crate::client::ClientShared;
-use crate::server::{log_writer_loop, sender_loop, SeqBatch, ServerRuntime};
+use crate::server::{log_writer_loop, ServerRuntime};
 use crate::transport::channel::{ChannelPort, ChannelSink};
 use crate::transport::tcp::{TcpConnection, TcpServer, WelcomeInfo};
-use crate::transport::{ClientParams, ClientPort, PortMap};
+use crate::transport::{ClientParams, ClientPort};
 use crate::wire::{ClientMsg, ToServer};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fgs_core::server::ServerEngine;
@@ -90,84 +90,67 @@ use fgs_pagestore::{DiskManager, MemDisk, RecoveryReport, Store};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// The transport-independent server half: the sharded worker pool, the
-/// ordered send stage, and the port registry clients deliver through.
-/// [`Oodb`] wires local clients onto it; [`serve_tcp`] exposes it to
-/// remote ones.
+/// The transport-independent server half: the sharded worker pool
+/// (which delivers its own batches, in engine order, through the
+/// completion router) and the log writer. [`Oodb`] wires local clients
+/// onto it; [`serve_tcp`] exposes it to remote ones.
 pub(crate) struct ServerCore {
     runtime: Arc<ServerRuntime>,
     worker_txs: Vec<Sender<ToServer>>,
-    ports: Arc<PortMap>,
-    threads: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     /// The dedicated log-writer thread; stopped (with a final catch-up
-    /// cycle) only after every worker and the sender have drained, so
-    /// all registered commits are forced and acked before it exits.
+    /// cycle) only after every worker has drained, so all registered
+    /// commits are forced and acked before it exits.
     log_writer: Option<JoinHandle<()>>,
 }
 
 impl ServerCore {
-    /// Starts the pipeline: one send-stage thread, one log-writer
-    /// thread, plus `min(server_workers, port_limit)` workers.
-    /// `port_limit` caps client ids (they shard over workers as
-    /// `client % workers`).
+    /// Starts the pipeline: one log-writer thread plus
+    /// `min(server_workers, port_limit)` workers. `port_limit` caps
+    /// client ids (they shard over workers as `client % workers`).
     pub(crate) fn start(config: &EngineConfig, store: Store, port_limit: u16) -> ServerCore {
         let engine = ServerEngine::new(config.protocol, config.objects_per_page);
-        let runtime = Arc::new(ServerRuntime::new(engine, store, config.paranoid));
-        let ports = Arc::new(PortMap::new(port_limit));
+        let runtime = Arc::new(ServerRuntime::new(
+            engine,
+            store,
+            config.paranoid,
+            port_limit,
+        ));
         let n_workers = config.server_workers.min(port_limit as usize);
-        let mut threads = Vec::new();
 
         // The durability stage: one thread owning the WAL tail, cycling
         // seal → write → force over whatever the workers appended and
         // advancing the completion router's durable watermark.
         let log_writer = {
             let runtime = runtime.clone();
-            let ports = ports.clone();
             Some(
                 std::thread::Builder::new()
                     .name("fgs-wal".into())
-                    .spawn(move || log_writer_loop(&runtime, &ports))
+                    .spawn(move || log_writer_loop(&runtime))
                     .expect("spawn log writer"),
             )
         };
 
-        // The send stage: one thread restoring engine order and feeding
-        // the completion router.
-        let (batch_tx, batch_rx) = unbounded::<SeqBatch>();
-        {
-            let ports = ports.clone();
-            let runtime = runtime.clone();
-            let metrics = runtime.metrics();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("fgs-send".into())
-                    .spawn(move || sender_loop(batch_rx, ports, runtime, metrics))
-                    .expect("spawn sender"),
-            );
-        }
-
         // The worker pool: clients are sharded over workers so each
         // client's requests stay FIFO.
         let mut worker_txs = Vec::new();
+        let mut workers = Vec::new();
         for w in 0..n_workers {
             let (tx, rx) = unbounded();
             worker_txs.push(tx);
             let runtime = runtime.clone();
-            let out = batch_tx.clone();
-            threads.push(
+            workers.push(
                 std::thread::Builder::new()
                     .name(format!("fgs-server-{w}"))
-                    .spawn(move || runtime.worker_loop(rx, out))
+                    .spawn(move || runtime.worker_loop(rx))
                     .expect("spawn server worker"),
             );
         }
-        drop(batch_tx); // sender exits once every worker is gone
 
         ServerCore {
             runtime,
             worker_txs,
-            ports,
-            threads,
+            workers,
             log_writer,
         }
     }
@@ -176,15 +159,15 @@ impl ServerCore {
         self.runtime.store().flush_all()
     }
 
-    /// Stops the worker pool, the send stage, and finally the log
-    /// writer (whose last cycle forces and acks everything the workers
-    /// registered). Transport threads (and their ports) must be gone
-    /// first so no request arrives after its worker.
+    /// Stops the worker pool and then the log writer (whose last cycle
+    /// forces and acks everything the workers registered). Transport
+    /// threads (and their ports) must be gone first so no request
+    /// arrives after its worker.
     pub(crate) fn shutdown(&mut self) {
         for tx in &self.worker_txs {
             let _ = tx.send(ToServer::Shutdown);
         }
-        for t in self.threads.drain(..) {
+        for t in self.workers.drain(..) {
             let _ = t.join();
         }
         if let Some(writer) = self.log_writer.take() {
@@ -194,7 +177,7 @@ impl ServerCore {
     }
 
     pub(crate) fn is_shut_down(&self) -> bool {
-        self.threads.is_empty() && self.log_writer.is_none()
+        self.workers.is_empty() && self.log_writer.is_none()
     }
 }
 
@@ -282,7 +265,8 @@ impl Oodb {
                         Some(cfg) => Arc::new(ChaosPort::new(inner, cfg, i as u64)),
                         None => inner,
                     };
-                    core.ports
+                    core.runtime
+                        .ports()
                         .register_port(Some(i as u16), port)
                         .expect("register embedded client");
                     let sink = Box::new(ChannelSink::new(
@@ -300,7 +284,7 @@ impl Oodb {
                     ("127.0.0.1", 0),
                     WelcomeInfo::from_config(&config),
                     core.worker_txs.clone(),
-                    core.ports.clone(),
+                    core.runtime.ports().clone(),
                 )?;
                 let addr = server.local_addr();
                 for (i, crx) in client_rxs.into_iter().enumerate() {

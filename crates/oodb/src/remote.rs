@@ -61,7 +61,7 @@ pub fn serve_tcp_with_disk(
         addr,
         WelcomeInfo::from_config(&config),
         core.worker_txs.clone(),
-        core.ports.clone(),
+        core.runtime.ports().clone(),
     )?;
     Ok(ServerHandle {
         config,
@@ -88,7 +88,7 @@ pub fn serve_tcp_recover(
         addr,
         WelcomeInfo::from_config(&config),
         core.worker_txs.clone(),
-        core.ports.clone(),
+        core.runtime.ports().clone(),
     )?;
     Ok((
         ServerHandle {

@@ -7,7 +7,8 @@
 //!
 //! * **Workers** — `server_workers` threads, each owning a shard of the
 //!   clients (`client % workers`), so one client's requests stay FIFO
-//!   while different clients proceed concurrently.
+//!   while different clients proceed concurrently. A worker carries its
+//!   batch through every stage below, delivery included.
 //! * **Durability (append)** — commit data is installed into the store
 //!   and the commit records *appended* before the engine releases locks;
 //!   the worker registers the batch's watermark with the [`LogWriter`]
@@ -23,24 +24,26 @@
 //!   *outside* the engine lock (the store has its own sharded
 //!   synchronization). A storage error here aborts the affected
 //!   transaction ([`AbortReason::Server`]) instead of panicking.
-//! * **Send** — a dedicated sender thread re-orders completed batches by
-//!   sequence number and feeds each client's run into the completion
-//!   router, so every client observes the engine's order even though
-//!   attaches finish out of order.
 //! * **Log writer** — a dedicated thread owns the WAL tail: it seals the
 //!   active append buffer, writes the sealed shadow segment, and forces
 //!   the written image ([`fgs_pagestore::Wal`]'s stepwise API), each
 //!   cycle coalescing every commit appended since the last one. This
 //!   subsumes the old group-commit gather: batching now comes from the
 //!   writer's natural cycle time instead of timed waits in the workers.
-//! * **Completion** — the [`CompletionRouter`] holds each commit ack
-//!   until the writer's durable watermark passes its LSN, then emits
-//!   `CommitDone` through the normal batched delivery path. A pending
-//!   ack is a *barrier* for later messages to the same client, so the
-//!   engine's per-client order survives the deferral.
+//! * **Completion** — the [`CompletionRouter`] restores the engine's
+//!   order and delivers. A worker submits its stamped batch; the batch
+//!   waits until every lower sequence number has been submitted, then
+//!   joins its clients' queues and goes out on the submitting worker's
+//!   thread, so every client observes the engine's order even though
+//!   attaches finish out of order. Each commit ack is held until the
+//!   writer's durable watermark passes its LSN, then emitted as
+//!   `CommitDone`; a pending ack is a *barrier* for later messages to
+//!   the same client, so the engine's per-client order survives the
+//!   deferral.
 
+use crate::transport::PortMap;
 use crate::wire::{SharedBytes, ToClient, ToServer};
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use fgs_core::server::{ServerAction, ServerEngine, ServerStats};
 use fgs_core::sync::{Condvar, Mutex};
 use fgs_core::{AbortReason, ClientId, DataGrant, Oid, PageId, Request, ServerMsg, TxnId};
@@ -52,7 +55,7 @@ use std::time::Instant;
 
 /// Hard cap on how many queued messages a worker drains into one batch
 /// (one protocol-lock acquisition, one sequence number, one invariant
-/// sample). Bounds both latency and the size of a `SeqBatch`.
+/// sample). Bounds both latency and the size of a submitted batch.
 const DISPATCH_BATCH: usize = 64;
 
 /// Backpressure cap on the WAL's active append buffer. A worker blocks
@@ -66,7 +69,7 @@ const APPEND_CAP: usize = 1 << 20;
 struct ProtocolStage {
     engine: ServerEngine,
     /// Next batch sequence number; assigned under the engine lock so the
-    /// sender thread can reconstruct the engine's serialization order.
+    /// completion router can restore the engine's serialization order.
     next_seq: u64,
 }
 
@@ -89,15 +92,11 @@ pub(crate) enum OutMsg {
     },
 }
 
-/// A batch of outbound messages stamped with its engine-order sequence.
-pub(crate) struct SeqBatch {
-    seq: u64,
-    msgs: Vec<(ClientId, OutMsg)>,
-}
-
 /// A lock-free log₂-bucketed latency histogram (nanosecond samples).
-/// 48 buckets cover ~256 µs per bucket boundary up to minutes; recording
-/// is one relaxed fetch_add, so the hot path pays no synchronization.
+/// Bucket `i` of the 48 holds samples in [2^i, 2^(i+1)) ns (the last one
+/// everything longer), so a quantile is known to within a factor of two;
+/// recording is one relaxed fetch_add, so the hot path pays no
+/// synchronization.
 struct LatencyHistogram {
     buckets: [AtomicU64; 48],
 }
@@ -119,7 +118,8 @@ impl LatencyHistogram {
     }
 
     /// The `q`-quantile (0..=1) as microseconds, estimated at the
-    /// geometric midpoint of the winning bucket. Zero with no samples.
+    /// arithmetic midpoint (1.5 · 2^idx ns) of the winning bucket. Zero
+    /// with no samples.
     fn quantile_us(&self, q: f64) -> u64 {
         let total = self.samples();
         if total == 0 {
@@ -281,18 +281,32 @@ struct ClientQueue {
     releasing: bool,
 }
 
-/// Router state: the durable watermark as last reported by the log
-/// writer, plus the per-client barrier queues.
+/// Router state: the engine-order cursor and the batches parked ahead of
+/// it, the durable watermark as last reported by the log writer, and the
+/// per-client barrier queues.
 struct CompletionState {
+    /// The next sequence number to move into the client queues.
+    next_seq: u64,
+    /// Submitted batches whose sequence number is above `next_seq`.
+    held: HashMap<u64, Vec<(ClientId, OutMsg)>>,
     durable: Lsn,
     clients: HashMap<ClientId, ClientQueue>,
 }
 
-/// The completion stage: emits `CommitDone` for a registered ack only
-/// once the log writer's durable watermark passes the ack's LSN,
-/// preserving the WAL rule without parking any worker. Envelopes that
-/// arrive behind a pending ack wait with it (per-client order); clients
-/// with nothing pending pass straight through to delivery.
+/// The completion stage: the one place outbound messages are ordered.
+/// Workers submit batches stamped with the sequence number taken under
+/// [`ProtocolStage`]; a batch joins the per-client queues only once
+/// every lower number has, so each client sees messages in the engine's
+/// order. `CommitDone` for a registered ack is emitted only once the log
+/// writer's durable watermark passes the ack's LSN, preserving the WAL
+/// rule without parking any worker. Envelopes that arrive behind a
+/// pending ack wait with it (per-client order); clients with nothing
+/// pending pass straight through to delivery.
+///
+/// Invariant: `CompletionState` is never held across
+/// [`deliver_batch`](crate::transport::ClientPort::deliver_batch) — a
+/// port write is I/O; the per-client `releasing` flag orders concurrent
+/// deliverers instead.
 pub(crate) struct CompletionRouter {
     state: Mutex<CompletionState>,
 }
@@ -301,36 +315,54 @@ impl CompletionRouter {
     fn new() -> CompletionRouter {
         CompletionRouter {
             state: Mutex::new(CompletionState {
+                next_seq: 0,
+                held: HashMap::new(),
                 durable: 0,
                 clients: HashMap::new(),
             }),
         }
     }
 
-    /// Sender side: appends one client's ordered run and delivers the
-    /// releasable prefix.
-    pub(crate) fn submit(
+    /// Worker side: submits the batch stamped `seq` (possibly empty) and,
+    /// if it is next in engine order, moves it and every consecutive
+    /// held batch into the per-client queues, then delivers every client
+    /// touched on the calling thread. A batch that is not yet next stays
+    /// held; the worker that submits the missing sequence number
+    /// delivers it. Each sequence number must be submitted exactly once.
+    pub(crate) fn submit_batch(
         &self,
-        client: ClientId,
-        run: Vec<OutMsg>,
-        ports: &crate::transport::PortMap,
+        seq: u64,
+        msgs: Vec<(ClientId, OutMsg)>,
+        ports: &PortMap,
         metrics: &PipelineMetrics,
     ) {
+        let mut touched: Vec<ClientId> = Vec::new();
         {
             let mut g = self.state.lock();
-            g.clients.entry(client).or_default().pending.extend(run);
+            let g = &mut *g;
+            g.held.insert(seq, msgs);
+            while let Some(msgs) = g.held.remove(&g.next_seq) {
+                g.next_seq += 1;
+                // A client never observes another client's messages, so
+                // only each client's own order matters: appending item
+                // by item keeps it, and one drain per client below
+                // delivers the whole run as one batch.
+                for (to, m) in msgs {
+                    if !touched.contains(&to) {
+                        touched.push(to);
+                    }
+                    g.clients.entry(to).or_default().pending.push_back(m);
+                }
+            }
         }
-        self.drain(client, false, ports, metrics);
+        for client in touched {
+            self.drain(client, false, ports, metrics);
+        }
     }
 
     /// Log-writer side: advances the durable watermark and delivers every
     /// newly releasable prefix.
-    pub(crate) fn advance(
-        &self,
-        durable: Lsn,
-        ports: &crate::transport::PortMap,
-        metrics: &PipelineMetrics,
-    ) {
+    pub(crate) fn advance(&self, durable: Lsn, ports: &PortMap, metrics: &PipelineMetrics) {
         let clients: Vec<ClientId> = {
             let mut g = self.state.lock();
             g.durable = g.durable.max(durable);
@@ -413,13 +445,7 @@ impl CompletionRouter {
     /// router lock is never held across a delivery (a port write is
     /// I/O); the `releasing` flag keeps concurrent drains from
     /// interleaving the client's stream while the lock is open.
-    fn drain(
-        &self,
-        client: ClientId,
-        deferred: bool,
-        ports: &crate::transport::PortMap,
-        metrics: &PipelineMetrics,
-    ) {
+    fn drain(&self, client: ClientId, deferred: bool, ports: &PortMap, metrics: &PipelineMetrics) {
         loop {
             let run = self.release_ready(client, deferred, metrics);
             if run.is_empty() {
@@ -440,14 +466,17 @@ impl CompletionRouter {
     }
 }
 
-/// State shared between the worker pool, the sender thread, the log
-/// writer and the introspection APIs.
+/// State shared between the worker pool, the log writer, the transports
+/// and the introspection APIs.
 pub(crate) struct ServerRuntime {
     protocol: Mutex<ProtocolStage>,
     store: Store,
     writer: LogWriter,
     completion: CompletionRouter,
-    metrics: Arc<PipelineMetrics>,
+    /// Live client ports, resolved per delivery, so TCP clients may come
+    /// and go without the pipeline noticing.
+    ports: Arc<PortMap>,
+    metrics: PipelineMetrics,
     /// Run engine invariant checks after every batch even in release.
     paranoid: bool,
 }
@@ -464,7 +493,9 @@ enum Step {
 }
 
 impl ServerRuntime {
-    pub(crate) fn new(engine: ServerEngine, store: Store, paranoid: bool) -> Self {
+    /// A runtime whose port registry admits client ids below
+    /// `port_limit`.
+    pub(crate) fn new(engine: ServerEngine, store: Store, paranoid: bool, port_limit: u16) -> Self {
         store.wal().set_append_cap(APPEND_CAP);
         ServerRuntime {
             protocol: Mutex::new(ProtocolStage {
@@ -474,7 +505,8 @@ impl ServerRuntime {
             store,
             writer: LogWriter::new(),
             completion: CompletionRouter::new(),
-            metrics: Arc::new(PipelineMetrics::new()),
+            ports: Arc::new(PortMap::new(port_limit)),
+            metrics: PipelineMetrics::new(),
             paranoid,
         }
     }
@@ -493,12 +525,8 @@ impl ServerRuntime {
         &self.store
     }
 
-    pub(crate) fn metrics(&self) -> Arc<PipelineMetrics> {
-        self.metrics.clone()
-    }
-
-    pub(crate) fn completion(&self) -> &CompletionRouter {
-        &self.completion
+    pub(crate) fn ports(&self) -> &Arc<PortMap> {
+        &self.ports
     }
 
     /// Durability counters plus the pipeline's timing/batching counters.
@@ -583,7 +611,7 @@ impl ServerRuntime {
     /// one sequence number and one invariant sample. Per-connection FIFO
     /// is preserved — a shard owns its clients, drain order is queue
     /// order, and the protocol stage replays that order under the lock.
-    pub(crate) fn worker_loop(&self, rx: Receiver<ToServer>, out: Sender<SeqBatch>) {
+    pub(crate) fn worker_loop(&self, rx: Receiver<ToServer>) {
         let mut batch: Vec<ToServer> = Vec::with_capacity(DISPATCH_BATCH);
         while let Ok(env) = rx.recv() {
             batch.push(env);
@@ -604,7 +632,7 @@ impl ServerRuntime {
                 None => false,
             };
             if !batch.is_empty() {
-                self.handle_batch(&mut batch, &out);
+                self.handle_batch(&mut batch);
             }
             if stop {
                 break;
@@ -623,8 +651,9 @@ impl ServerRuntime {
     /// acks are parked in the completion router until the writer's
     /// durable watermark passes the registered LSN. Then the protocol
     /// stage replays the batch in arrival order under a single lock
-    /// hold, and the dispatch stage attaches payloads outside it.
-    fn handle_batch(&self, batch: &mut Vec<ToServer>, out: &Sender<SeqBatch>) {
+    /// hold, and the dispatch stage attaches payloads outside it and
+    /// submits the batch for delivery.
+    fn handle_batch(&self, batch: &mut Vec<ToServer>) {
         let t_start = Instant::now();
         PipelineMetrics::add(&self.metrics.dispatch_batches, 1);
         PipelineMetrics::add(&self.metrics.dispatch_batch_msgs, batch.len() as u64);
@@ -711,8 +740,8 @@ impl ServerRuntime {
         };
         let t_protocol = Instant::now();
 
-        // Dispatch stage: attach payloads outside the lock, hand off.
-        self.dispatch(actions, seq, ack_lsn, t_start, out);
+        // Dispatch stage: attach payloads outside the lock, deliver.
+        self.dispatch(actions, seq, ack_lsn, t_start);
 
         let t_done = Instant::now();
         PipelineMetrics::add(
@@ -749,21 +778,21 @@ impl ServerRuntime {
         Ok(self.store.append_commit(txn))
     }
 
-    /// Attach + hand-off stage: copies data payloads out of the store
-    /// (outside the engine lock) and forwards the stamped batch to the
-    /// sender thread. Transactions whose grants hit a storage error are
-    /// aborted, cascading until no new failures appear.
-    fn dispatch(
-        &self,
-        actions: Vec<ServerAction>,
-        seq: u64,
-        ack_lsn: Lsn,
-        t0: Instant,
-        out: &Sender<SeqBatch>,
-    ) {
+    /// Attach + delivery stage: copies data payloads out of the store
+    /// (outside the engine lock) and submits the stamped batch to the
+    /// completion router, which delivers it on this thread once it is
+    /// next in engine order. Transactions whose grants hit a storage
+    /// error are aborted, cascading until no new failures appear.
+    ///
+    /// Invariant: every sequence number taken under [`ProtocolStage`] is
+    /// submitted exactly once — an empty batch and each cascading-abort
+    /// batch below included — or the router holds every later batch
+    /// forever.
+    fn dispatch(&self, actions: Vec<ServerAction>, seq: u64, ack_lsn: Lsn, t0: Instant) {
         let mut failed: Vec<TxnId> = Vec::new();
         let msgs = self.attach_batch(actions, ack_lsn, t0, &mut failed);
-        let _ = out.send(SeqBatch { seq, msgs });
+        self.completion
+            .submit_batch(seq, msgs, &self.ports, &self.metrics);
         while let Some(txn) = failed.pop() {
             let (outcome, seq) = {
                 let mut g = self.protocol.lock();
@@ -774,7 +803,8 @@ impl ServerRuntime {
                 (outcome, seq)
             };
             let msgs = self.attach_batch(outcome.actions, ack_lsn, t0, &mut failed);
-            let _ = out.send(SeqBatch { seq, msgs });
+            self.completion
+                .submit_batch(seq, msgs, &self.ports, &self.metrics);
         }
     }
 
@@ -898,69 +928,140 @@ fn retry_io<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T>
 /// the normal delivery path. Runs until [`LogWriter::stop`], finishing
 /// with one final cycle so every registered commit is durable and acked
 /// before exit.
-pub(crate) fn log_writer_loop(runtime: &ServerRuntime, ports: &crate::transport::PortMap) {
+pub(crate) fn log_writer_loop(runtime: &ServerRuntime) {
     let mut handled: Lsn = 0;
     let mut carried: u64 = 0;
     loop {
         let (durable, stop) = runtime.writer_turn(&mut handled, &mut carried);
-        runtime.completion.advance(durable, ports, &runtime.metrics);
+        runtime
+            .completion
+            .advance(durable, &runtime.ports, &runtime.metrics);
         if stop {
             return;
         }
     }
 }
 
-/// The send stage: restores the engine's serialization order across
-/// workers. Batches arrive stamped with the sequence assigned under the
-/// engine lock; they are fed to the completion router strictly in that
-/// order, so each client sees messages exactly as the engine produced
-/// them — commit acks holding their place in line until the durable
-/// watermark releases them. Ports resolve per delivery through the
-/// [`PortMap`](crate::transport::PortMap), so TCP clients may come and
-/// go without the pipeline noticing.
-///
-/// A batch's items are grouped per destination client (each client's
-/// relative order preserved — a client never observes another client's
-/// messages, so cross-client interleaving within one sequence number is
-/// unobservable) and submitted as one run: a client with nothing parked
-/// gets one [`deliver_batch`](crate::transport::ClientPort::deliver_batch)
-/// call — one port lookup and, on TCP, one coalesced vectored socket
-/// write.
-pub(crate) fn sender_loop(
-    rx: Receiver<SeqBatch>,
-    ports: Arc<crate::transport::PortMap>,
-    completion: Arc<ServerRuntime>,
-    metrics: Arc<PipelineMetrics>,
-) {
-    let mut next: u64 = 0;
-    let mut held: HashMap<u64, Vec<(ClientId, OutMsg)>> = HashMap::new();
-    let submit = |msgs: Vec<(ClientId, OutMsg)>| {
-        // Group per client, preserving each client's item order.
-        // Linear scan: a batch rarely addresses more than a few clients.
-        let mut groups: Vec<(ClientId, Vec<OutMsg>)> = Vec::new();
-        for (to, m) in msgs {
-            match groups.iter_mut().find(|(c, _)| *c == to) {
-                Some((_, run)) => run.push(m),
-                None => groups.push((to, vec![m])),
+/// The completion router on its own, deterministically: engine order
+/// restored from out-of-order submissions, empty batches, and acks
+/// against the durable watermark.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::ClientPort;
+
+    /// Records every message it is handed, in delivery order.
+    #[derive(Default)]
+    struct RecordingPort(Mutex<Vec<ServerMsg>>);
+
+    impl ClientPort for RecordingPort {
+        fn deliver(&self, env: ToClient) -> bool {
+            self.0.lock().push(env.msg);
+            true
+        }
+
+        fn close(&self) {}
+    }
+
+    struct Rig {
+        router: CompletionRouter,
+        ports: PortMap,
+        metrics: PipelineMetrics,
+        seen: Vec<Arc<RecordingPort>>,
+    }
+
+    impl Rig {
+        fn new(clients: u16) -> Rig {
+            let ports = PortMap::new(clients);
+            let seen = (0..clients)
+                .map(|c| {
+                    let port = Arc::new(RecordingPort::default());
+                    ports.register_port(Some(c), port.clone()).unwrap();
+                    port
+                })
+                .collect();
+            Rig {
+                router: CompletionRouter::new(),
+                ports,
+                metrics: PipelineMetrics::new(),
+                seen,
             }
         }
-        for (to, run) in groups {
-            completion.completion().submit(to, run, &ports, &metrics);
+
+        fn submit(&self, seq: u64, msgs: Vec<(ClientId, OutMsg)>) {
+            self.router
+                .submit_batch(seq, msgs, &self.ports, &self.metrics);
         }
-    };
-    for batch in rx.iter() {
-        held.insert(batch.seq, batch.msgs);
-        while let Some(msgs) = held.remove(&next) {
-            submit(msgs);
-            next += 1;
+
+        fn advance(&self, durable: Lsn) {
+            self.router.advance(durable, &self.ports, &self.metrics);
+        }
+
+        fn seen(&self, client: usize) -> Vec<ServerMsg> {
+            self.seen[client].0.lock().clone()
         }
     }
-    // Channel closed (all workers gone). Gaps are only possible if a
-    // worker died mid-dispatch; submit the stragglers in order anyway.
-    let mut rest: Vec<_> = held.into_iter().collect();
-    rest.sort_by_key(|&(seq, _)| seq);
-    for (_, msgs) in rest {
-        submit(msgs);
+
+    fn txn(client: u16, n: u64) -> TxnId {
+        TxnId::new(ClientId(client), n)
+    }
+
+    /// An envelope tagged by `(client, n)`, and what the client sees.
+    fn env(client: u16, n: u64) -> (ClientId, OutMsg) {
+        let env = ToClient {
+            msg: done(client, n),
+            page_image: None,
+            object_bytes: None,
+        };
+        (ClientId(client), OutMsg::Env(env))
+    }
+
+    fn done(client: u16, n: u64) -> ServerMsg {
+        ServerMsg::AbortDone {
+            txn: txn(client, n),
+        }
+    }
+
+    fn ack(client: u16, n: u64, ack_lsn: Lsn) -> (ClientId, OutMsg) {
+        let t0 = Instant::now();
+        let txn = txn(client, n);
+        (ClientId(client), OutMsg::Ack { txn, ack_lsn, t0 })
+    }
+
+    #[test]
+    fn router_restores_engine_order_across_out_of_order_submits() {
+        let rig = Rig::new(2);
+        // Seq 1 arrives first: it is held, nothing goes out.
+        rig.submit(1, vec![env(0, 2), env(1, 2)]);
+        assert!(rig.seen(0).is_empty() && rig.seen(1).is_empty());
+        // Seq 0 releases both batches, in seq order for each client.
+        rig.submit(0, vec![env(1, 1), env(0, 1)]);
+        assert_eq!(rig.seen(0), vec![done(0, 1), done(0, 2)]);
+        assert_eq!(rig.seen(1), vec![done(1, 1), done(1, 2)]);
+        // An empty batch still takes its place in the sequence: seq 3
+        // waits for it, and goes out once it arrives.
+        rig.submit(3, vec![env(0, 3)]);
+        assert_eq!(rig.seen(0).len(), 2);
+        rig.submit(2, Vec::new());
+        assert_eq!(rig.seen(0), vec![done(0, 1), done(0, 2), done(0, 3)]);
+    }
+
+    #[test]
+    fn router_releases_an_already_durable_ack_on_submit() {
+        let rig = Rig::new(2);
+        rig.advance(100);
+        // Client 0's ack is below the watermark: the submitting call
+        // delivers it. Client 1's is above: it parks, and the envelope
+        // queued behind it waits with it.
+        rig.submit(0, vec![ack(0, 1, 100), ack(1, 1, 200), env(1, 2)]);
+        let commit_done = |client| ServerMsg::CommitDone {
+            txn: txn(client, 1),
+        };
+        assert_eq!(rig.seen(0), vec![commit_done(0)]);
+        assert!(rig.seen(1).is_empty());
+        rig.advance(200);
+        assert_eq!(rig.seen(1), vec![commit_done(1), done(1, 2)]);
+        assert_eq!(rig.metrics.deferred_acks.load(Ordering::Relaxed), 1);
     }
 }
 
@@ -970,24 +1071,24 @@ pub(crate) fn sender_loop(
 /// mutexes and condvar resolve to `loom::sync` types through
 /// [`fgs_core::sync`], so the explored schedules drive the production
 /// paths: append + request hand-off, the writer's seal/write/force
-/// cycle, watermark advancement, and the router's barrier queues with
-/// the out-of-lock delivery protocol.
+/// cycle, watermark advancement, and the router's reorder and barrier
+/// queues with the out-of-lock delivery protocol.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
-    use crate::transport::{ClientPort, PortMap};
+    use crate::transport::ClientPort;
     use fgs_core::{Protocol, TxnId};
     use fgs_pagestore::{MemDisk, Wal};
     use loom::thread;
     use std::sync::Arc;
 
-    /// A port that checks the WAL rule at the moment of delivery: a
-    /// `CommitDone` must never arrive before its commit record's
-    /// watermark is durable.
+    /// A port that records every message in delivery order and checks
+    /// the WAL rule at the moment of delivery: a `CommitDone` must never
+    /// arrive before its commit record's watermark is durable.
     struct AckCheckPort {
         wal: Arc<Wal>,
         expect: Mutex<Vec<(TxnId, Lsn)>>,
-        delivered: Mutex<Vec<TxnId>>,
+        delivered: Mutex<Vec<ServerMsg>>,
     }
 
     impl ClientPort for AckCheckPort {
@@ -1002,28 +1103,21 @@ mod loom_tests {
                     self.wal.flushed() >= ack_lsn,
                     "CommitDone for {txn} delivered before its watermark"
                 );
-                self.delivered.lock().push(txn);
             }
+            self.delivered.lock().push(env.msg);
             true
         }
 
         fn close(&self) {}
     }
 
-    fn runtime() -> Arc<ServerRuntime> {
+    /// A runtime whose clients `0..n` all deliver to one checking port.
+    fn runtime(n: u16) -> (Arc<ServerRuntime>, Arc<AckCheckPort>) {
         // Commit forcing never touches data pages; an empty store is
         // enough, and no engine state is exercised by the writer/router.
         let store = Store::new(Arc::new(MemDisk::new(256)), 8, 1000);
         let engine = ServerEngine::new(Protocol::Ps, 8);
-        Arc::new(ServerRuntime::new(engine, store, false))
-    }
-
-    /// N concurrent committers append + register + submit their ack; the
-    /// dedicated writer cycles until stopped. Every ack must be
-    /// delivered, only after its watermark, and accounted exactly once.
-    fn run_pipeline(n: u16) {
-        let rt = runtime();
-        let ports = Arc::new(PortMap::new(n));
+        let rt = Arc::new(ServerRuntime::new(engine, store, false, n));
         let port = Arc::new(AckCheckPort {
             wal: Arc::clone(rt.store().wal()),
             expect: Mutex::new(Vec::new()),
@@ -1031,33 +1125,53 @@ mod loom_tests {
         });
         for c in 0..n {
             let dyn_port: Arc<dyn ClientPort> = port.clone();
-            ports.register_port(Some(c), dyn_port).unwrap();
+            rt.ports().register_port(Some(c), dyn_port).unwrap();
         }
-        let writer = {
-            let rt = Arc::clone(&rt);
-            let ports = Arc::clone(&ports);
-            thread::spawn(move || log_writer_loop(&rt, &ports))
-        };
+        (rt, port)
+    }
+
+    fn spawn_writer(rt: &Arc<ServerRuntime>) -> thread::JoinHandle<()> {
+        let rt = Arc::clone(rt);
+        thread::spawn(move || log_writer_loop(&rt))
+    }
+
+    /// Appends `txn`'s commit record and returns its ack, registered
+    /// with the checking port and the writer as a worker would.
+    fn append_ack(rt: &ServerRuntime, port: &AckCheckPort, txn: TxnId) -> OutMsg {
+        rt.store().begin(txn);
+        rt.store().append_commit(txn);
+        let ack_lsn = rt.store().wal().len();
+        port.expect.lock().push((txn, ack_lsn));
+        rt.writer.request(ack_lsn, 1);
+        OutMsg::Ack {
+            txn,
+            ack_lsn,
+            t0: Instant::now(),
+        }
+    }
+
+    /// N concurrent committers append + register + take a sequence
+    /// number + submit their ack; the dedicated writer cycles until
+    /// stopped. Every ack must be delivered, only after its watermark,
+    /// and accounted exactly once.
+    fn run_pipeline(n: u16) {
+        let (rt, port) = runtime(n);
+        let writer = spawn_writer(&rt);
         let committers: Vec<_> = (0..n)
             .map(|c| {
                 let rt = Arc::clone(&rt);
-                let ports = Arc::clone(&ports);
                 let port = Arc::clone(&port);
                 thread::spawn(move || {
-                    let txn = TxnId::new(ClientId(c), 1);
-                    rt.store().begin(txn);
-                    rt.store().append_commit(txn);
-                    let ack_lsn = rt.store().wal().len();
-                    port.expect.lock().push((txn, ack_lsn));
-                    rt.writer.request(ack_lsn, 1);
-                    rt.completion().submit(
-                        ClientId(c),
-                        vec![OutMsg::Ack {
-                            txn,
-                            ack_lsn,
-                            t0: Instant::now(),
-                        }],
-                        &ports,
+                    let ack = append_ack(&rt, &port, TxnId::new(ClientId(c), 1));
+                    let seq = {
+                        let mut g = rt.protocol.lock();
+                        g.next_seq += 1;
+                        g.next_seq - 1
+                    };
+                    rt.completion.submit_batch(
+                        seq,
+                        vec![(ClientId(c), ack)],
+                        &rt.ports,
                         &rt.metrics,
                     );
                 })
@@ -1091,5 +1205,51 @@ mod loom_tests {
     #[test]
     fn async_durability_single_committer() {
         loom::model(|| run_pipeline(1));
+    }
+
+    /// Two workers submit seq 0 (an envelope, then an ack) and seq 1 (an
+    /// envelope) to the same client concurrently while the writer
+    /// advances the watermark. Whichever submit lands first and
+    /// whichever thread ends up delivering, the client must see all
+    /// three messages in seq order, the ack only once durable.
+    #[test]
+    fn out_of_order_submits_keep_engine_order() {
+        loom::model(|| {
+            let (rt, port) = runtime(1);
+            let client = ClientId(0);
+            let ack = append_ack(&rt, &port, TxnId::new(client, 2));
+            let env = |n| ToClient {
+                msg: ServerMsg::AbortDone {
+                    txn: TxnId::new(client, n),
+                },
+                page_image: None,
+                object_bytes: None,
+            };
+            let writer = spawn_writer(&rt);
+            let submit = |seq: u64, msgs: Vec<OutMsg>| {
+                let rt = Arc::clone(&rt);
+                let msgs: Vec<_> = msgs.into_iter().map(|m| (client, m)).collect();
+                thread::spawn(move || {
+                    rt.completion
+                        .submit_batch(seq, msgs, &rt.ports, &rt.metrics)
+                })
+            };
+            let second = submit(1, vec![OutMsg::Env(env(3))]);
+            let first = submit(0, vec![OutMsg::Env(env(1)), ack]);
+            first.join().unwrap();
+            second.join().unwrap();
+            rt.stop_log_writer();
+            writer.join().unwrap();
+            let seen: Vec<u64> = port
+                .delivered
+                .lock()
+                .iter()
+                .map(|m| match m {
+                    ServerMsg::AbortDone { txn } | ServerMsg::CommitDone { txn } => txn.seq,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert_eq!(seen, vec![1, 2, 3], "lost or reordered delivery");
+        });
     }
 }

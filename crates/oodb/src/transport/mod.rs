@@ -4,8 +4,8 @@
 //! The protocol engines and the server pipeline are transport-blind; they
 //! speak through two narrow traits. [`RequestSink`] is the client→server
 //! half (a runtime pushes requests into it), and [`ClientPort`] is the
-//! server→client half (the send stage delivers ordered envelopes through
-//! it). Two backends implement them:
+//! server→client half (the completion router delivers engine-ordered
+//! envelopes through it). Two backends implement them:
 //!
 //! * [`channel`] — in-process crossbeam channels, the embedded default.
 //!   Payload `Arc`s move through memory untouched (zero-copy fan-out).
@@ -100,11 +100,11 @@ pub(crate) trait RequestSink: Send {
     fn close(&self) {}
 }
 
-/// The server→client half of a transport: the send stage delivers
-/// engine-ordered envelopes through it.
+/// The server→client half of a transport: the completion router
+/// delivers engine-ordered envelopes through it.
 pub(crate) trait ClientPort: Send + Sync {
-    /// Delivers one envelope; `false` means the port is dead (the send
-    /// stage drops the message — the peer is gone).
+    /// Delivers one envelope; `false` means the port is dead (the router
+    /// drops the message — the peer is gone).
     fn deliver(&self, env: ToClient) -> bool;
 
     /// Delivers a run of envelopes addressed to this client, preserving
@@ -132,9 +132,9 @@ struct PortTable {
     closed: bool,
 }
 
-/// Live client ports keyed by client id. The send stage resolves the
-/// destination of every envelope here, so clients may come and go (TCP)
-/// without the pipeline noticing.
+/// Live client ports keyed by client id. The completion router resolves
+/// the destination of every delivery here, so clients may come and go
+/// (TCP) without the pipeline noticing.
 ///
 /// Lock discipline: the table lock guards only the map — `deliver` and
 /// `close` run on a cloned `Arc` *after* the guard drops, so a slow or

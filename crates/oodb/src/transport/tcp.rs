@@ -10,9 +10,10 @@
 //!
 //! Timeouts: the handshake read is bounded (a dead or hostile peer cannot
 //! park a connection thread), and every write is bounded (a stalled peer
-//! marks the connection dead instead of wedging the send stage). Steady-
-//! state reads are *unbounded* by design — a client legitimately blocks
-//! for as long as a lock conflict lasts; liveness there is the deadlock
+//! marks the connection dead instead of wedging the server worker
+//! delivering to it). Steady-state reads are *unbounded* by design — a
+//! client legitimately blocks for as long as a lock conflict lasts;
+//! liveness there is the deadlock
 //! detector's job, not the socket's. Dead connections surface to the
 //! application as [`TxnError::Server`](crate::TxnError::Server).
 
@@ -247,8 +248,7 @@ impl ClientPort for TcpPort {
 
 /// The listening side: an accept thread spawning one reader thread per
 /// connection. Connections register in the shared [`PortMap`] at
-/// handshake, so the engine's send stage reaches them like any other
-/// port.
+/// handshake, so the server pipeline reaches them like any other port.
 pub(crate) struct TcpServer {
     local: SocketAddr,
     stop: Arc<AtomicBool>,

@@ -147,6 +147,45 @@ fn pipelined_server_is_serializable_and_group_commits() {
     }
 }
 
+/// Commits never wait on the force path: while client 0's commit is
+/// parked behind a frozen force, client 4 — sharded onto the same
+/// worker (`4 % 4 == 0`) — still runs a whole transaction that needs
+/// the server. A worker that waited for durability would wedge it.
+#[test]
+fn a_commit_parked_on_the_force_does_not_stall_its_worker() {
+    let db = Oodb::open(config(Protocol::PsAa)).unwrap();
+    let committed = AtomicBool::new(false);
+    db.wal_hold(WalHold::BeforeForce);
+    let durable = db.durable_log().len();
+    std::thread::scope(|scope| {
+        let commit = scope.spawn(|| {
+            let s = db.session(0);
+            s.begin()?;
+            s.write(Oid::new(PageId(0), 0), encode(1))?;
+            let done = s.commit();
+            committed.store(true, Ordering::SeqCst);
+            done
+        });
+        // Worker 0 has begun appending the commit's records, so client
+        // 4's requests queue behind that batch; the force stays held.
+        while db.crash_log(usize::MAX).len() <= durable {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let s = db.session(4);
+        s.begin().unwrap();
+        assert_eq!(s.read(Oid::new(PageId(1), 0)).unwrap(), vec![0u8; 16]);
+        s.abort().unwrap();
+        assert!(
+            !committed.load(Ordering::SeqCst),
+            "the commit was acked while its force was held"
+        );
+        db.wal_hold(WalHold::None);
+        commit.join().unwrap().expect("the parked commit completes");
+    });
+    db.check_server_invariants();
+    db.shutdown();
+}
+
 /// A disk that can be switched into a failing mode: reads of uncached
 /// pages then surface I/O errors into the server's attach/install stages.
 #[derive(Debug)]

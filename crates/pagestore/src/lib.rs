@@ -17,7 +17,7 @@
 //! let txn = TxnId::new(ClientId(0), 1);
 //! store.begin(txn);
 //! store.update_object(txn, Oid::new(PageId(3), 7), b"hello").unwrap();
-//! store.commit(txn);
+//! fgs_pagestore::test_support::commit_durably(&store, txn);
 //! assert_eq!(store.read_object(Oid::new(PageId(3), 7)).unwrap().unwrap(), b"hello");
 //! ```
 
@@ -40,3 +40,20 @@ pub use page::{PageError, Record, SlottedPage};
 pub use recovery::{recover, RecoveryReport};
 pub use store::{Store, StoreStats};
 pub use wal::{LogRecord, Lsn, Wal, WalHold};
+
+/// Helpers for tests and examples that drive a [`Store`] directly,
+/// without the server runtime's log-writer stage.
+pub mod test_support {
+    use crate::Store;
+    use fgs_core::TxnId;
+
+    /// Commits `txn` synchronously: appends its commit record and
+    /// flushes the log through it, so the commit is durable on return.
+    /// The server never does this — its workers append and a dedicated
+    /// log writer forces — so it does not count in
+    /// [`StoreStats::commits`](crate::StoreStats::commits).
+    pub fn commit_durably(store: &Store, txn: TxnId) {
+        store.append_commit(txn);
+        store.wal().flush();
+    }
+}

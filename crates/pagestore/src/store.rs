@@ -39,7 +39,7 @@ pub struct StoreStats {
     /// wait + engine transitions under the guard).
     pub protocol_ns: u64,
     /// Nanoseconds the server workers spent in the dispatch stage
-    /// (payload attach + hand-off to the send stage).
+    /// (payload attach + ordered delivery through the completion router).
     pub dispatch_ns: u64,
     /// Nanoseconds spent *waiting* to acquire the protocol-stage lock.
     pub lock_wait_ns: u64,
@@ -47,8 +47,8 @@ pub struct StoreStats {
     pub lock_hold_ns: u64,
     /// Hot-path protocol-stage lock acquisitions (one per inbound batch).
     pub lock_acquisitions: u64,
-    /// Median server-side commit latency, microseconds (durability →
-    /// batch handed to the send stage).
+    /// Median server-side commit latency, microseconds (batch arrival →
+    /// `CommitDone` released for delivery).
     pub commit_p50_us: u64,
     /// 99th-percentile server-side commit latency, microseconds.
     pub commit_p99_us: u64,
@@ -60,7 +60,7 @@ pub struct StoreStats {
     /// Messages across all inbound batches (`/ dispatch_batches` = mean
     /// amortization of the critical section).
     pub dispatch_batch_msgs: u64,
-    /// Per-client delivery batches issued by the send stage (one
+    /// Per-client delivery batches issued by the completion router (one
     /// coalesced transport write each on TCP).
     pub send_batches: u64,
     /// Envelopes across all send batches.
@@ -248,41 +248,17 @@ impl Store {
         })
     }
 
-    /// Commits `txn`: appends the commit record and forces the log.
-    /// Single-committer path; a group-commit runtime splits this into
-    /// [`Store::append_commit`] + [`Store::force_commits`].
-    pub fn commit(&self, txn: TxnId) {
-        let lsn = self.append_commit(txn);
-        self.force_commits(lsn, 1);
-    }
-
     /// Appends `txn`'s commit record *without* forcing the log. The
     /// transaction is not durable until a force covers the returned LSN.
     pub fn append_commit(&self, txn: TxnId) -> Lsn {
         self.wal.append(&LogRecord::Commit { txn })
     }
 
-    /// Makes the commit records of a batch durable: forces the log past
-    /// `max_lsn` (coalescing with concurrent forces) and accounts
-    /// `batch_size` committed transactions. Call once per group-commit
-    /// batch with the highest member LSN.
-    pub fn force_commits(&self, max_lsn: Lsn, batch_size: u64) {
-        let forced = self.wal.force_up_to(max_lsn);
-        self.commits.fetch_add(batch_size, Ordering::Relaxed);
-        if batch_size > 1 {
-            self.piggybacked_commits
-                .fetch_add(batch_size - 1, Ordering::Relaxed);
-            if forced {
-                self.group_commit_batches.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Accounts `batch_size` commits made durable by the dedicated log
-    /// writer, which forces through the stepwise WAL API
-    /// ([`crate::Wal::force_written`]) rather than [`Store::force_commits`].
-    /// `forced` reports whether the covering cycle performed a physical
-    /// force; the piggyback split mirrors `force_commits`.
+    /// Accounts `batch_size` commits made durable by one log-writer
+    /// cycle (the stepwise WAL API, [`crate::Wal::force_written`]).
+    /// `forced` reports whether that cycle performed a physical force;
+    /// every commit beyond the first rode on it (`piggybacked_commits`),
+    /// and a forced cycle carrying more than one is a group commit.
     pub fn account_durable(&self, batch_size: u64, forced: bool) {
         self.commits.fetch_add(batch_size, Ordering::Relaxed);
         if batch_size > 1 {
@@ -363,6 +339,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::disk::MemDisk;
+    use crate::test_support::commit_durably;
     use fgs_core::ClientId;
 
     fn store() -> (Store, Arc<MemDisk>) {
@@ -395,7 +372,7 @@ mod tests {
         let (s, _) = store();
         s.begin(txn(1));
         s.update_object(txn(1), oid(1, 2), b"new-value").unwrap();
-        s.commit(txn(1));
+        commit_durably(&s, txn(1));
         assert_eq!(s.read_object(oid(1, 2)).unwrap().unwrap(), b"new-value");
     }
 
@@ -404,7 +381,7 @@ mod tests {
         let (s, _) = store();
         s.begin(txn(1));
         s.update_object(txn(1), oid(0, 0), b"v1").unwrap();
-        s.commit(txn(1));
+        commit_durably(&s, txn(1));
         s.begin(txn(2));
         s.update_object(txn(2), oid(0, 0), b"v2").unwrap();
         assert_eq!(s.read_object(oid(0, 0)).unwrap().unwrap(), b"v2");
@@ -420,14 +397,14 @@ mod tests {
         s.begin(txn(1));
         let big = vec![0xCD; 150];
         s.update_object(txn(1), oid(2, 1), &big).unwrap();
-        s.commit(txn(1));
+        commit_durably(&s, txn(1));
         assert_eq!(s.read_object(oid(2, 1)).unwrap().unwrap(), big);
         // Neighbours unaffected.
         assert_eq!(s.read_object(oid(2, 0)).unwrap().unwrap(), vec![0u8; 16]);
         // Updating the forwarded object again applies at its new home.
         s.begin(txn(2));
         s.update_object(txn(2), oid(2, 1), b"small again").unwrap();
-        s.commit(txn(2));
+        commit_durably(&s, txn(2));
         assert_eq!(s.read_object(oid(2, 1)).unwrap().unwrap(), b"small again");
     }
 
@@ -437,7 +414,7 @@ mod tests {
         s.begin(txn(1));
         s.update_object(txn(1), oid(2, 1), b"before-forward")
             .unwrap();
-        s.commit(txn(1));
+        commit_durably(&s, txn(1));
         s.begin(txn(2));
         s.update_object(txn(2), oid(2, 1), &[0xEE; 150]).unwrap();
         s.abort(txn(2)).unwrap();
@@ -454,14 +431,15 @@ mod tests {
             s.begin(txn(c));
             s.update_object(txn(c), oid(0, c - 1), b"gc").unwrap();
         }
-        let lsns: Vec<_> = (1..=3u16).map(|c| s.append_commit(txn(c))).collect();
-        let max = *lsns.iter().max().unwrap();
-        s.force_commits(max, 3);
+        // One forced cycle makes all three durable.
+        let last = (1..=3u16).map(|c| s.append_commit(txn(c))).max().unwrap();
+        s.wal().flush();
+        s.account_durable(3, true);
         let st = s.stats();
         assert_eq!(st.commits, 3);
         assert_eq!(st.group_commit_batches, 1);
         assert_eq!(st.piggybacked_commits, 2);
-        assert!(s.wal().flushed() > max, "batch is durable");
+        assert!(s.wal().flushed() > last, "batch is durable");
         // Replay sees all three commit records.
         let commits = s
             .wal()
@@ -477,7 +455,7 @@ mod tests {
         let (s, disk) = store();
         s.begin(txn(1));
         s.update_object(txn(1), oid(1, 1), b"durable").unwrap();
-        s.commit(txn(1));
+        commit_durably(&s, txn(1));
         s.begin(txn(2));
         s.update_object(txn(2), oid(1, 2), b"lost").unwrap();
         // A steal forces t2's log records out before the crash.
@@ -497,7 +475,7 @@ mod tests {
         s.begin(txn(1));
         let big = vec![0xAB; 150];
         s.update_object(txn(1), oid(3, 2), &big).unwrap();
-        s.commit(txn(1));
+        commit_durably(&s, txn(1));
         let log = s.wal().durable_bytes();
         drop(s);
         let (s2, _) = Store::recover(disk, log, 16, 1000).unwrap();

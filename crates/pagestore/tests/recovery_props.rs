@@ -6,6 +6,7 @@
 //! starts from — these properties pin that down.)
 
 use fgs_core::{ClientId, Oid, PageId, TxnId};
+use fgs_pagestore::test_support::commit_durably;
 use fgs_pagestore::{DiskManager, MemDisk, Store};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -106,7 +107,7 @@ fn run_program(program: &[Op], extra_tail: usize) -> (Arc<MemDisk>, Vec<u8>) {
             }
             Op::Commit { client } => {
                 if let Some(txn) = active.remove(&client) {
-                    store.commit(txn);
+                    commit_durably(&store, txn);
                     dirty.retain(|_, t| *t != txn);
                 }
             }
@@ -231,7 +232,7 @@ fn forwarded_commit_recovers() {
     store
         .update_object(txn, Oid::new(PageId(0), 1), &[8u8; 150])
         .unwrap();
-    store.commit(txn);
+    commit_durably(&store, txn);
     let log = store.wal().durable_bytes();
     drop(store);
     let (recovered, report) = Store::recover(
