@@ -199,7 +199,7 @@ impl ServerEngine {
         debug_assert!(self.out.is_empty() && self.cost == Cost::default());
         self.stats.disconnects += 1;
         // 1. Purge the copy tables first: transactions granted while the
-        //    teardown below pumps pages must never open callbacks to (or
+        //    teardown below regrants pages must never open callbacks to (or
         //    count copies at) the gone client.
         for st in self.pages.values_mut() {
             st.copies.remove(&client);
@@ -212,7 +212,7 @@ impl ServerEngine {
             }
             st.epochs.remove(&client);
         }
-        // 2. End every transaction the client owns; each release pumps the
+        // 2. End every transaction the client owns; each release rescans the
         //    touched pages, granting queued requests of the survivors.
         let mine: Vec<TxnId> = self
             .txns
@@ -249,7 +249,7 @@ impl ServerEngine {
                 }
                 self.wfg.clear_edges(op.txn);
                 self.finish_grant(op.requester, op.txn, op.oid, op.need_copy, op.any_kept);
-                self.pump(op.oid.page);
+                self.grant_waiters(op.oid.page);
             }
         }
         // 4. Pages that lost their last reference only through the purge.
@@ -296,10 +296,10 @@ impl ServerEngine {
                 txn,
                 kind,
             });
-        // The uniform path: enqueue, then pump. An unblocked request is
-        // granted immediately by the pump; a blocked one stays queued with
+        // The uniform path: enqueue, then scan the queue. An unblocked request
+        // is granted immediately by the scan; a blocked one stays queued with
         // its waits-for edges installed.
-        self.pump(page);
+        self.grant_waiters(page);
     }
 
     /// Whether requests conflict at page granularity (PS transfers *and*
@@ -308,8 +308,8 @@ impl ServerEngine {
         self.protocol == Protocol::Ps
     }
 
-    /// Lock-table check for `item`, ignoring queue order (the pump handles
-    /// queue fairness separately).
+    /// Lock-table check for `item`, ignoring queue order (`grant_waiters`
+    /// handles queue fairness separately).
     fn check_locks(
         &self,
         st: &PageState,
@@ -384,7 +384,7 @@ impl ServerEngine {
     /// Scans a page's waiter queue in FIFO order, granting every request
     /// that is compatible with the lock table and with all still-blocked
     /// earlier requests, and refreshing waits-for edges for the rest.
-    fn pump(&mut self, page: PageId) {
+    fn grant_waiters(&mut self, page: PageId) {
         let mut to_check: Vec<TxnId> = Vec::new();
         let mut blocked_items: Vec<(Item, TxnId)> = Vec::new();
         let mut i = 0;
@@ -743,7 +743,7 @@ impl ServerEngine {
                     }
                     self.wfg.clear_edges(op.txn);
                     self.finish_grant(op.requester, op.txn, op.oid, op.need_copy, op.any_kept);
-                    self.pump(op.oid.page);
+                    self.grant_waiters(op.oid.page);
                 }
             }
         }
@@ -786,7 +786,7 @@ impl ServerEngine {
         }
         // Otherwise the reply is stale (the holder committed or aborted
         // while the de-escalation request was in flight); ignore it.
-        self.pump(page);
+        self.grant_waiters(page);
     }
 
     // ------------------------------------------------------------------
@@ -856,7 +856,7 @@ impl ServerEngine {
         }
         self.wfg.remove_txn(txn);
         for page in touched {
-            self.pump(page);
+            self.grant_waiters(page);
         }
         Some(t.client)
     }

@@ -53,3 +53,25 @@ impl Srv {
         n
     }
 }
+
+impl WalInner {
+    fn reset(&mut self) {
+        self.buf.clear();
+    }
+}
+
+impl Srv {
+    /// Shares its name with `WalInner::reset`, but takes the WAL lock.
+    fn reset(&self) {
+        let w = self.wal.lock();
+        drop(w);
+    }
+
+    /// A method called on a guard resolves to the guarded struct's
+    /// (`WalInner::reset`), not to every same-named method.
+    fn method_on_a_guard(&self) {
+        let mut w = self.wal.lock();
+        w.reset();
+        drop(w);
+    }
+}

@@ -230,6 +230,8 @@ enum Recv {
     SelfField(String),
     /// Field access through a tracked guard binding: (inner struct, field).
     GuardField(String, String),
+    /// A tracked guard binding itself: its inner struct.
+    Guard(String),
     /// `x.field.method()` with `x` unresolved.
     Field(String),
     Var(String),
@@ -800,6 +802,7 @@ impl Workspace {
             }
             Recv::Field(field) => self.global_field_hints(field),
             Recv::Var(v) => f.params.get(v).cloned().into_iter().collect(),
+            Recv::Guard(inner) => vec![inner.clone()],
             Recv::CallRet(Some(h)) => vec![h.clone()],
             Recv::CallRet(None) => Vec::new(),
             Recv::Path(t) => vec![t.clone()],
@@ -964,6 +967,10 @@ impl Workspace {
                 }
             }
             return Recv::Field(name);
+        }
+        // A method called on a guard runs on the data it protects.
+        if let Some(inner) = guards.get(&name) {
+            return Recv::Guard(inner.clone());
         }
         Recv::Var(name)
     }

@@ -18,10 +18,12 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockClass {
     /// One client workstation's runtime — protocol engine plus byte cache
-    /// (`client.rs`) — locked by application calls and by the client's
-    /// pump thread. Outermost: it is held across `RequestSink::send_request`
-    /// (which takes `ConnWriter` over TCP), so it is acquired with nothing
-    /// held, and no server-side thread ever takes it.
+    /// (`client.rs`) — locked by application calls and by whichever
+    /// thread delivers the client's server messages (a server worker, the
+    /// log writer, a chaos or TCP reader thread). Outermost: it is held
+    /// across `RequestSink::send_request` (which takes `ConnWriter` over
+    /// TCP), so every caller and every deliverer takes it with nothing
+    /// held — the completion router never delivers under its own lock.
     ClientState = 0,
     /// The log-writer thread's request board (`server.rs`): the
     /// requested-durability watermark and pending-commit count workers

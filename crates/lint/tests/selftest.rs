@@ -278,6 +278,42 @@ fn seeded_client_state_under_conn_writer_is_caught() {
     );
 }
 
+/// The completion router's invariant — `CompletionState` is never held
+/// across a delivery — is checked, not just commented: a client runtime
+/// is its own port (`ClientShared`'s `deliver_batch` takes
+/// `ClientState`), so delivering under the router guard inverts the DAG.
+/// The port is resolved by name, exactly as in `CompletionRouter::drain`.
+#[test]
+fn seeded_delivery_under_completion_state_is_caught() {
+    let mut sources = workspace_sources();
+    sources.push((
+        "seeded.rs".to_string(),
+        r#"
+        struct Seeded { state: Mutex<CompletionState> }
+        impl Seeded {
+            fn bad(&self, ports: &PortMap, run: Vec<ToClient>) {
+                let g = self.state.lock();
+                if let Some(port) = ports.lookup_port(0) {
+                    port.deliver_batch(run);
+                }
+                drop(g);
+            }
+        }
+        "#
+        .to_string(),
+    ));
+    let post = check_sources(&sources);
+    assert!(
+        post.iter().any(|v| {
+            v.file == "seeded.rs"
+                && v.rule == Rule::LockOrder
+                && v.message.contains("may acquire ClientState")
+                && v.message.contains("while holding CompletionState")
+        }),
+        "seeded delivery under the router lock not caught: {post:?}"
+    );
+}
+
 /// Dropping a dispatch arm from the real server engine's `handle` is
 /// caught by the exhaustiveness pass — the scenario the protocol model
 /// exists for: a new (or deleted) wire variant silently not dispatched.

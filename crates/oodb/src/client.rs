@@ -2,13 +2,13 @@
 //! cache (parsed page images and an overlay for oversize/forwarded
 //! objects), kept as passive shared state that whoever has input drives.
 //! Application calls run it on the calling thread — a cache hit costs one
-//! lock, no thread hop — and the `fgs-client-N` pump thread runs it for
-//! server messages (DESIGN.md §8).
+//! lock, no thread hop — and a server message runs it on the thread that
+//! delivers it: [`ClientShared`] is the client's [`ClientPort`]
+//! (DESIGN.md §8).
 
 use crate::error::TxnError;
-use crate::transport::{ClientParams, RequestSink};
-use crate::wire::{into_owned, ClientMsg, SharedBytes, ToClient};
-use crossbeam::channel::Receiver;
+use crate::transport::{ClientParams, ClientPort, RequestSink};
+use crate::wire::{into_owned, SharedBytes, ToClient};
 use fgs_core::client::{ClientAction, ClientEngine, TxnOutcome};
 use fgs_core::sync::{Condvar, Mutex, MutexGuard};
 use fgs_core::{
@@ -46,8 +46,8 @@ pub(crate) enum Call {
 /// A call's result: the bytes read, or empty for calls that return nothing.
 type Reply = Result<Vec<u8>, TxnError>;
 
-/// One client workstation's state, shared by its [`Session`]s and its
-/// pump thread.
+/// One client workstation's state, shared by its [`Session`]s and by
+/// whichever thread delivers its server messages.
 ///
 /// [`Session`]: crate::Session
 pub(crate) struct ClientShared {
@@ -96,7 +96,7 @@ impl ClientShared {
 
     /// Runs one call on the calling thread: a hit completes right there
     /// and returns without touching another thread; a miss or commit has
-    /// sent its request and parks until the pump completes it.
+    /// sent its request and parks until a delivery completes it.
     pub(crate) fn call(&self, call: Call) -> Reply {
         let mut rt = self.enter()?;
         rt.start(call)?;
@@ -120,36 +120,30 @@ impl ClientShared {
         }
     }
 
-    /// The `fgs-client-N` thread: feeds server messages to the runtime
-    /// until told to shut down (or every inbox sender is gone), then
-    /// closes it.
-    pub(crate) fn pump(&self, rx: Receiver<ClientMsg>) {
-        for msg in rx.iter() {
-            if matches!(msg, ClientMsg::Shutdown) {
-                break;
-            }
-            self.deliver(msg);
-        }
+    /// Engine (or remote client) shutdown: closes the runtime — goodbye
+    /// through the sink, a parked caller failed — so a `Session` that
+    /// outlives its engine gets [`TxnError::Closed`] instead of parking.
+    pub(crate) fn shutdown(&self) {
         let mut rt = self.state.lock();
         rt.close();
         self.wake(rt);
     }
 
-    /// Handles one inbox message under the lock, then wakes the parked
-    /// caller if that completed its call.
-    fn deliver(&self, msg: ClientMsg) {
+    /// Handles a run of server envelopes under one lock hold, then wakes
+    /// the parked caller if that completed its call. Stops at the first
+    /// envelope that finds the runtime dead; `false` tells the deliverer
+    /// to drop the rest.
+    fn handle_run(&self, envs: impl IntoIterator<Item = ToClient>) -> bool {
         let mut rt = self.state.lock();
-        match msg {
-            ClientMsg::Server(env) => rt.handle_server(env),
-            ClientMsg::ServerBatch(envs) => {
-                for env in envs {
-                    rt.handle_server(env);
-                }
+        for env in envs {
+            if rt.dead.is_some() {
+                break;
             }
-            ClientMsg::Lost => rt.conn_lost(),
-            ClientMsg::Shutdown => {}
+            rt.handle_server(env);
         }
+        let alive = rt.dead.is_none();
         self.wake(rt);
+        alive
     }
 
     /// Notifies after the guard drops, so the woken caller finds the lock
@@ -160,6 +154,38 @@ impl ClientShared {
         if done {
             self.done.notify_one();
         }
+    }
+}
+
+/// The client is its own port: the thread that delivers a server message
+/// — a server worker or the log writer on the channel transport, the
+/// chaos delivery thread under fault injection, the connection's reader
+/// thread over TCP — runs the engine on the spot.
+///
+/// That thread may take `ClientState`, the outermost lock class, because
+/// every deliverer holds no lock when it calls in: the completion router
+/// drops `CompletionState` before it delivers, the log writer drops
+/// `LogWriterState` before it advances the router, and the chaos and
+/// reader threads hold nothing. Under `ClientState` the client only
+/// sends, and its targets never block: a worker's unbounded queue on the
+/// channel transport, or a socket the server's connection thread always
+/// drains over TCP.
+impl ClientPort for ClientShared {
+    fn deliver(&self, env: ToClient) -> bool {
+        self.handle_run(std::iter::once(env))
+    }
+
+    /// The whole run under one lock hold and at most one wake-up.
+    fn deliver_batch(&self, envs: Vec<ToClient>) -> bool {
+        self.handle_run(envs)
+    }
+
+    /// The transport lost the server: fails the parked caller and every
+    /// later call with [`TxnError::Server`].
+    fn close(&self) {
+        let mut rt = self.state.lock();
+        rt.conn_lost();
+        self.wake(rt);
     }
 }
 
@@ -441,9 +467,8 @@ impl ClientRuntime {
             }
             other => {
                 if self.dead.is_some() {
-                    // The call already failed (connection loss, shutdown
-                    // or rpc timeout); envelopes queued before that still
-                    // drain here.
+                    // The call already failed: a send earlier in this
+                    // same batch of engine actions lost the connection.
                     return;
                 }
                 panic!("grant without a matching app call: {other:?}")
@@ -556,20 +581,22 @@ impl ClientRuntime {
     }
 }
 
-/// A client runtime over a recording sink, with no server and no pump
-/// thread: tests play those parts by hand.
+/// A client runtime over a recording sink, with no server and no
+/// transport: tests deliver its server messages by hand, on whichever
+/// thread they choose.
 #[cfg(test)]
 mod testkit {
     use super::*;
     use crate::Session;
-    use crossbeam::channel::{unbounded, Sender};
+    use crossbeam::channel::{unbounded, Receiver, Sender};
     use fgs_core::GrantLevel;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// What the sink saw.
     pub(super) struct Wire {
         pub sent: Mutex<Vec<Request>>,
-        pub closed: AtomicBool,
+        /// How many times the runtime said goodbye.
+        pub closes: AtomicUsize,
         seen: Sender<Request>,
     }
 
@@ -588,7 +615,7 @@ mod testkit {
         }
 
         fn close(&self) {
-            self.0.closed.store(true, Ordering::SeqCst);
+            self.0.closes.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -608,7 +635,7 @@ mod testkit {
         let (seen, requests) = unbounded();
         let wire = Arc::new(Wire {
             sent: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
+            closes: AtomicUsize::new(0),
             seen,
         });
         let params = ClientParams {
@@ -640,7 +667,7 @@ mod testkit {
 
         /// One server-bound call without a second thread: starts it, then
         /// hands the runtime the server's `reply`, as a parked caller and
-        /// the pump would between them.
+        /// a deliverer would between them.
         pub fn by_hand(&self, call: Call, reply: ToClient) -> Reply {
             let mut rt = self.shared.state.lock();
             rt.start(call)?;
@@ -690,7 +717,6 @@ mod testkit {
 mod tests {
     use super::testkit::*;
     use super::*;
-    use crossbeam::channel::unbounded;
     use fgs_core::{CallbackId, CallbackReply, CallbackTarget};
     use std::sync::atomic::Ordering;
 
@@ -700,7 +726,35 @@ mod tests {
     const LONG: Duration = Duration::from_secs(5);
     const OVERLAP: TxnError = TxnError::TxnState("a call is already pending on this client");
 
-    /// No pump thread exists here, so a call that returns was served
+    fn callback_reply(reply: CallbackReply) -> Request {
+        Request::CallbackReply {
+            callback: CallbackId(9),
+            page: PAGE,
+            reply,
+        }
+    }
+
+    fn callback() -> ToClient {
+        control(ServerMsg::Callback {
+            callback: CallbackId(9),
+            page: PAGE,
+            target: CallbackTarget::PageAdaptive { slot: 0 },
+        })
+    }
+
+    /// Transaction 1 reads `PAGE` from the server and commits, leaving
+    /// the page cached and no transaction active.
+    fn cache_page(rig: &Rig) {
+        let a = Oid::new(PAGE, 0);
+        rig.session.begin().unwrap();
+        let t1 = rig.txn();
+        rig.by_hand(Call::Read(a), page_grant(t1, a, false))
+            .unwrap();
+        rig.by_hand(Call::Commit, control(ServerMsg::CommitDone { txn: t1 }))
+            .unwrap();
+    }
+
+    /// No other thread exists here, so a call that returns was served
     /// entirely on the calling thread.
     #[test]
     fn cache_hits_complete_on_the_calling_thread() {
@@ -719,36 +773,20 @@ mod tests {
     }
 
     /// The one ordering relaxation (DESIGN.md §12): a cached read may be
-    /// served while a callback for its page still sits in the inbox. The
+    /// served while a callback for its page is still in flight. The
     /// outcome is that of the callback arriving after the read.
     #[test]
     fn a_hit_may_overtake_a_queued_callback() {
         let (rig, _) = rig(LONG);
         let a = Oid::new(PAGE, 0);
-        // Transaction 1 leaves the page cached.
-        rig.session.begin().unwrap();
-        let t1 = rig.txn();
-        rig.by_hand(Call::Read(a), page_grant(t1, a, false))
-            .unwrap();
-        rig.by_hand(Call::Commit, control(ServerMsg::CommitDone { txn: t1 }))
-            .unwrap();
+        cache_page(&rig);
 
         rig.session.begin().unwrap();
         let t2 = rig.txn();
-        let queued = control(ServerMsg::Callback {
-            callback: CallbackId(9),
-            page: PAGE,
-            target: CallbackTarget::PageAdaptive { slot: a.slot },
-        });
         assert_eq!(rig.session.read(a).unwrap(), FILL);
-        rig.shared.deliver(ClientMsg::Server(queued));
+        assert!(rig.shared.deliver(callback()));
 
-        let reply = |reply| Request::CallbackReply {
-            callback: CallbackId(9),
-            page: PAGE,
-            reply,
-        };
-        let busy = reply(CallbackReply::Busy {
+        let busy = callback_reply(CallbackReply::Busy {
             conflicts: vec![t2],
         });
         assert_eq!(rig.wire.sent.lock().last(), Some(&busy));
@@ -756,11 +794,25 @@ mod tests {
         // A read-only transaction that never asked the server commits
         // locally; the deferred callback is answered then.
         rig.session.commit().unwrap();
-        let purged = reply(CallbackReply::PagePurged { epoch: 1 });
+        let purged = callback_reply(CallbackReply::PagePurged { epoch: 1 });
         assert_eq!(rig.wire.sent.lock().last(), Some(&purged));
         let rt = rig.shared.state.lock();
         assert!(!rt.pages.contains_key(&PAGE));
         assert_eq!(rt.engine.stats().busy_replies, 1);
+    }
+
+    /// An idle client — between transactions, no call parked, so no
+    /// application thread to run it — still answers a callback: the
+    /// delivering thread runs the engine, and the reply is on the wire
+    /// before `deliver` returns.
+    #[test]
+    fn an_idle_client_answers_a_callback_before_deliver_returns() {
+        let (rig, _) = rig(LONG);
+        cache_page(&rig);
+        assert!(rig.shared.deliver(callback()));
+        let purged = callback_reply(CallbackReply::PagePurged { epoch: 1 });
+        assert_eq!(rig.wire.sent.lock().last(), Some(&purged));
+        assert!(!rig.shared.state.lock().pages.contains_key(&PAGE));
     }
 
     #[test]
@@ -779,8 +831,7 @@ mod tests {
         assert_eq!(requests.recv().unwrap(), Request::Read { txn, oid: a });
         assert_eq!(rig.session.read(a), Err(OVERLAP));
         assert_eq!(rig.session.begin(), Err(OVERLAP));
-        rig.shared
-            .deliver(ClientMsg::Server(page_grant(txn, a, false)));
+        assert!(rig.shared.deliver(page_grant(txn, a, false)));
         assert_eq!(parked.join().unwrap().unwrap(), FILL);
         assert!(started.elapsed() < LONG, "the grant's wake-up was lost");
     }
@@ -795,12 +846,16 @@ mod tests {
             rig.session.read(a),
             Err(TxnError::Io("rpc timed out; connection closed".into()))
         );
-        assert!(rig.wire.closed.load(Ordering::SeqCst));
+        assert_eq!(rig.wire.closes.load(Ordering::SeqCst), 1);
         assert_eq!(rig.session.read(a), Err(TxnError::Closed));
         assert_eq!(rig.session.begin(), Err(TxnError::Closed));
-        // The grant, when it finally comes, is dropped.
-        rig.shared
-            .deliver(ClientMsg::Server(page_grant(txn, a, false)));
+        // The grant, when it finally comes, is refused with the rest of
+        // its run.
+        let run = vec![
+            page_grant(txn, a, false),
+            control(ServerMsg::CommitDone { txn }),
+        ];
+        assert!(!rig.shared.deliver_batch(run));
         let rt = rig.shared.state.lock();
         assert!(rt.waiting.is_none() && rt.done.is_none());
     }
@@ -808,11 +863,6 @@ mod tests {
     #[test]
     fn shutdown_closes_the_state_under_a_parked_caller() {
         let (rig, requests) = rig(LONG);
-        let (inbox, rx) = unbounded();
-        let pump = {
-            let shared = rig.shared.clone();
-            std::thread::spawn(move || shared.pump(rx))
-        };
         rig.session.begin().unwrap();
         let started = Instant::now();
         let parked = {
@@ -820,19 +870,44 @@ mod tests {
             std::thread::spawn(move || session.read(Oid::new(PAGE, 0)))
         };
         requests.recv().unwrap();
-        inbox.send(ClientMsg::Shutdown).unwrap();
+        let shared = rig.shared.clone();
+        std::thread::spawn(move || shared.shutdown())
+            .join()
+            .unwrap();
         assert_eq!(parked.join().unwrap(), Err(TxnError::Closed));
         assert!(started.elapsed() < LONG, "the shutdown's wake-up was lost");
-        pump.join().unwrap();
-        assert!(rig.wire.closed.load(Ordering::SeqCst));
+        assert_eq!(rig.wire.closes.load(Ordering::SeqCst), 1);
+        assert_eq!(rig.session.begin(), Err(TxnError::Closed));
+        assert!(!rig.shared.deliver(callback()), "a closed client refuses");
+    }
+
+    /// The transport losing the server (`ClientPort::close`) fails the
+    /// parked caller with `Server` and says goodbye exactly once, however
+    /// often it is reported.
+    #[test]
+    fn a_lost_connection_fails_the_parked_caller_and_closes_the_sink_once() {
+        let (rig, requests) = rig(LONG);
+        rig.session.begin().unwrap();
+        let parked = {
+            let session = rig.session.clone();
+            std::thread::spawn(move || session.read(Oid::new(PAGE, 0)))
+        };
+        requests.recv().unwrap();
+        rig.shared.close();
+        assert_eq!(parked.join().unwrap(), Err(TxnError::Server));
+        assert_eq!(rig.session.begin(), Err(TxnError::Server));
+        rig.shared.close();
+        rig.shared.shutdown();
+        assert_eq!(rig.wire.closes.load(Ordering::SeqCst), 1);
         assert_eq!(rig.session.begin(), Err(TxnError::Closed));
     }
 }
 
-/// Model checks of caller ↔ pump, run only under `RUSTFLAGS="--cfg loom"`
-/// (DESIGN.md §10): the state mutex and condvar resolve to `loom::sync`
-/// types through [`fgs_core::sync`], so the explored schedules drive the
-/// production `call`/`deliver` paths.
+/// Model checks of caller ↔ deliverer, run only under
+/// `RUSTFLAGS="--cfg loom"` (DESIGN.md §10): the state mutex and condvar
+/// resolve to `loom::sync` types through [`fgs_core::sync`], so the
+/// explored schedules drive the production `call` and [`ClientPort`]
+/// paths.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::testkit::*;
@@ -841,25 +916,24 @@ mod loom_tests {
 
     const NO_TXN: TxnError = TxnError::TxnState("no active transaction");
 
-    /// Runs `caller` against a pump that waits for the caller's first
-    /// request (its read miss), then delivers what `script` answers it
-    /// with. A parked caller rechecks its slot when the rpc timeout
-    /// expires, so a lost wake-up shows as the run taking that long.
-    fn model(script: fn(TxnId, Oid) -> Vec<ClientMsg>, caller: fn(&Rig, thread::JoinHandle<()>)) {
+    /// Runs `caller` against a deliverer thread that waits for the
+    /// caller's first request (its read miss), then answers it through
+    /// the client's port as `script` says. A parked caller rechecks its
+    /// slot when the rpc timeout expires, so a lost wake-up shows as the
+    /// run taking that long.
+    fn model(script: fn(&ClientShared, TxnId, Oid), caller: fn(&Rig, thread::JoinHandle<()>)) {
         loom::model(move || {
             let timeout = Duration::from_secs(5);
             let (rig, requests) = rig(timeout);
             let started = Instant::now();
             let shared = rig.shared.clone();
-            let pump = thread::spawn(move || {
+            let deliverer = thread::spawn(move || {
                 let Ok(Request::Read { txn, oid }) = requests.recv() else {
                     panic!("the caller's first request is its read miss");
                 };
-                for msg in script(txn, oid) {
-                    shared.deliver(msg);
-                }
+                script(&shared, txn, oid);
             });
-            caller(&rig, pump);
+            caller(&rig, deliverer);
             assert!(started.elapsed() < timeout, "a wake-up was lost");
         });
     }
@@ -867,11 +941,11 @@ mod loom_tests {
     #[test]
     fn a_parked_miss_is_woken_by_its_grant() {
         model(
-            |txn, oid| vec![ClientMsg::Server(page_grant(txn, oid, false))],
-            |rig, pump| {
+            |port, txn, oid| assert!(port.deliver(page_grant(txn, oid, false))),
+            |rig, deliverer| {
                 rig.session.begin().unwrap();
                 assert_eq!(rig.session.read(Oid::new(PAGE, 0)).unwrap(), FILL);
-                pump.join().unwrap();
+                deliverer.join().unwrap();
             },
         );
     }
@@ -879,20 +953,18 @@ mod loom_tests {
     #[test]
     fn an_abort_between_calls_surfaces_exactly_once() {
         model(
-            |txn, oid| {
+            |port, txn, oid| {
                 let reason = AbortReason::Deadlock;
-                vec![
-                    ClientMsg::Server(page_grant(txn, oid, false)),
-                    ClientMsg::Server(control(ServerMsg::Aborted { txn, reason })),
-                ]
+                assert!(port.deliver(page_grant(txn, oid, false)));
+                assert!(port.deliver(control(ServerMsg::Aborted { txn, reason })));
             },
-            |rig, pump| {
+            |rig, deliverer| {
                 let a = Oid::new(PAGE, 0);
                 rig.session.begin().unwrap();
                 assert_eq!(rig.session.read(a).unwrap(), FILL);
                 // Races the abort: a hit before it lands, the kill after.
                 let racing = rig.session.read(a);
-                pump.join().unwrap();
+                deliverer.join().unwrap();
                 let after = [rig.session.read(a), rig.session.read(a)];
                 let kills = std::iter::once(&racing)
                     .chain(&after)
@@ -907,11 +979,11 @@ mod loom_tests {
     #[test]
     fn a_lost_connection_fails_the_parked_caller() {
         model(
-            |_, _| vec![ClientMsg::Lost],
-            |rig, pump| {
+            |port, _, _| port.close(),
+            |rig, deliverer| {
                 rig.session.begin().unwrap();
                 assert_eq!(rig.session.read(Oid::new(PAGE, 0)), Err(TxnError::Server));
-                pump.join().unwrap();
+                deliverer.join().unwrap();
                 assert_eq!(rig.session.begin(), Err(TxnError::Server));
             },
         );

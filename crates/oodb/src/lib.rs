@@ -11,8 +11,9 @@
 //! passive state — its own cache (page images or objects) driven by the
 //! client protocol engine — that a [`Session`] call runs on the calling
 //! thread, so an access to a cached object costs a lock and no message
-//! or thread hop; one pump thread per client feeds it the server's
-//! messages. The engines are the *same* `fgs-core` engines the simulator
+//! or thread hop; a server message runs it on the thread that delivers
+//! it (a server worker, the log writer, or a TCP connection's reader).
+//! The engines are the *same* `fgs-core` engines the simulator
 //! evaluates, so the measured protocols and the executable system cannot
 //! diverge.
 //!
@@ -79,11 +80,11 @@ pub use transport::TransportKind;
 use crate::chaos::ChaosPort;
 use crate::client::ClientShared;
 use crate::server::{log_writer_loop, ServerRuntime};
-use crate::transport::channel::{ChannelPort, ChannelSink};
+use crate::transport::channel::ChannelSink;
 use crate::transport::tcp::{TcpConnection, TcpServer, WelcomeInfo};
 use crate::transport::{ClientParams, ClientPort};
-use crate::wire::{ClientMsg, ToServer};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::wire::ToServer;
+use crossbeam::channel::{unbounded, Sender};
 use fgs_core::server::ServerEngine;
 use fgs_core::{ClientId, ServerStats};
 use fgs_pagestore::{DiskManager, MemDisk, RecoveryReport, Store};
@@ -182,14 +183,15 @@ impl ServerCore {
 }
 
 /// An embedded page-server database: a sharded server worker pool plus
-/// one client runtime (and its pump thread) per client workstation, wired
-/// over the configured [`TransportKind`].
+/// one client runtime per client workstation — run by its callers and by
+/// whichever thread delivers its server messages — wired over the
+/// configured [`TransportKind`].
 pub struct Oodb {
     config: EngineConfig,
     core: ServerCore,
     clients: Vec<Arc<ClientShared>>,
-    client_txs: Vec<Sender<ClientMsg>>,
-    client_threads: Vec<JoinHandle<()>>,
+    /// Over [`TransportKind::Tcp`], each client's connection reader.
+    readers: Vec<JoinHandle<()>>,
     /// The loopback listener when running over [`TransportKind::Tcp`].
     tcp: Option<TcpServer>,
 }
@@ -235,47 +237,35 @@ impl Oodb {
         let core = ServerCore::start(&config, store, config.n_clients);
         let params = ClientParams::from_config(&config);
         let mut clients = Vec::new();
-        let mut client_threads = Vec::new();
-
-        // Per-client pump inbox (server messages).
-        let mut client_txs = Vec::new();
-        let mut client_rxs = Vec::new();
-        for _ in 0..config.n_clients {
-            let (tx, rx) = unbounded();
-            client_txs.push(tx);
-            client_rxs.push(rx);
-        }
+        let mut readers = Vec::new();
 
         // Wire each client runtime to the server over the configured
         // transport. If a loopback connection fails mid-start, the `?`
-        // unwinds cleanly: dropping the channel senders ends every thread
-        // already spawned.
+        // drops the listener, whose shutdown closes every connection made
+        // so far; their readers see the socket die and exit.
         let n_workers = core.worker_txs.len();
         let tcp = match config.transport {
             TransportKind::Channel => {
-                for (i, crx) in client_rxs.into_iter().enumerate() {
-                    let inner: Arc<dyn ClientPort> =
-                        Arc::new(ChannelPort::new(client_txs[i].clone()));
+                for i in 0..config.n_clients {
+                    let id = ClientId(i);
+                    let worker_tx = core.worker_txs[usize::from(i) % n_workers].clone();
+                    let shared =
+                        ClientShared::new(id, params, Box::new(ChannelSink::new(id, worker_tx)));
+                    // The runtime is its own port: the server thread that
+                    // delivers runs it.
                     let port: Arc<dyn ClientPort> = match config.chaos {
                         // Fault injection: deliveries pass through a
                         // seeded chaos schedule (stream = client id).
-                        // Severing closes the inner port: the runtime
-                        // sees `Lost`, like a dead socket, and says
-                        // goodbye to the engine through its sink.
-                        Some(cfg) => Arc::new(ChaosPort::new(inner, cfg, i as u64)),
-                        None => inner,
+                        // Severing closes the runtime like a dead socket;
+                        // it says goodbye to the engine through its sink.
+                        Some(cfg) => Arc::new(ChaosPort::new(shared.clone(), cfg, u64::from(i))),
+                        None => shared.clone(),
                     };
                     core.runtime
                         .ports()
-                        .register_port(Some(i as u16), port)
+                        .register_port(Some(i), port)
                         .expect("register embedded client");
-                    let sink = Box::new(ChannelSink::new(
-                        ClientId(i as u16),
-                        core.worker_txs[i % n_workers].clone(),
-                    ));
-                    let (shared, pump) = spawn_client(ClientId(i as u16), params, sink, crx);
                     clients.push(shared);
-                    client_threads.push(pump);
                 }
                 None
             }
@@ -287,13 +277,11 @@ impl Oodb {
                     core.runtime.ports().clone(),
                 )?;
                 let addr = server.local_addr();
-                for (i, crx) in client_rxs.into_iter().enumerate() {
-                    let conn = TcpConnection::connect(addr, Some(i as u16))?;
-                    let sink = Box::new(conn.sink());
-                    client_threads.push(conn.spawn_reader(client_txs[i].clone()));
-                    let (shared, pump) = spawn_client(ClientId(i as u16), params, sink, crx);
+                for i in 0..config.n_clients {
+                    let conn = TcpConnection::connect(addr, Some(i))?;
+                    let shared = ClientShared::new(ClientId(i), params, Box::new(conn.sink()));
+                    readers.push(conn.spawn_reader(shared.clone()));
                     clients.push(shared);
-                    client_threads.push(pump);
                 }
                 Some(server)
             }
@@ -302,8 +290,7 @@ impl Oodb {
             config,
             core,
             clients,
-            client_txs,
-            client_threads,
+            readers,
             tcp,
         })
     }
@@ -370,13 +357,14 @@ impl Oodb {
 
     fn shutdown_inner(&mut self) {
         let _ = self.checkpoint();
-        // Clients first (each pump closes its runtime — and the sink — on
-        // the way out, so a `Session` still around fails with `Closed`),
-        // then the transport, then the pipeline.
-        for tx in &self.client_txs {
-            let _ = tx.send(ClientMsg::Shutdown);
+        // Clients first (each closes its runtime and says goodbye through
+        // its sink, so a `Session` still around fails with `Closed`; over
+        // TCP the goodbye also ends the client's reader), then the
+        // transport, then the pipeline.
+        for client in &self.clients {
+            client.shutdown();
         }
-        for t in self.client_threads.drain(..) {
+        for t in self.readers.drain(..) {
             let _ = t.join();
         }
         if let Some(tcp) = self.tcp.as_mut() {
@@ -392,23 +380,4 @@ impl Drop for Oodb {
             self.shutdown_inner();
         }
     }
-}
-
-/// Creates one client runtime over its transport sink and spawns the pump
-/// thread that feeds it the server messages arriving on `rx`.
-fn spawn_client(
-    id: ClientId,
-    params: ClientParams,
-    sink: Box<dyn transport::RequestSink>,
-    rx: Receiver<ClientMsg>,
-) -> (Arc<ClientShared>, JoinHandle<()>) {
-    let shared = ClientShared::new(id, params, sink);
-    let pump = {
-        let shared = shared.clone();
-        std::thread::Builder::new()
-            .name(format!("fgs-client-{}", id.0))
-            .spawn(move || shared.pump(rx))
-            .expect("spawn client")
-    };
-    (shared, pump)
 }

@@ -6,14 +6,14 @@
 //! `Welcome` carries the protocol and cache parameters, so connecting
 //! takes nothing but an address. The runtime behind a [`RemoteClient`]
 //! is the *same* client runtime the embedded engine runs — only the
-//! sink and the inbox feed differ (DESIGN.md §12).
+//! sink differs, and the thread that runs it for server messages is the
+//! connection's reader (DESIGN.md §12).
 
 use crate::chaos::{ChaosConfig, ChaosSink};
 use crate::client::ClientShared;
 use crate::transport::tcp::{TcpConnection, TcpServer, WelcomeInfo};
-use crate::wire::ClientMsg;
+use crate::transport::RequestSink;
 use crate::{EngineConfig, ServerCore, Session};
-use crossbeam::channel::{unbounded, Sender};
 use fgs_core::{ClientId, ServerStats};
 use fgs_pagestore::{DiskManager, MemDisk, RecoveryReport, Store, StoreStats};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -182,8 +182,9 @@ impl Drop for ServerHandle {
 pub struct RemoteClient {
     client: u16,
     shared: Arc<ClientShared>,
-    tx: Sender<ClientMsg>,
-    threads: Vec<JoinHandle<()>>,
+    /// The connection's reader, which runs the runtime for every server
+    /// message; `None` once joined.
+    reader: Option<JoinHandle<()>>,
 }
 
 impl RemoteClient {
@@ -199,18 +200,21 @@ impl RemoteClient {
         want: Option<u16>,
     ) -> std::io::Result<RemoteClient> {
         let conn = TcpConnection::connect(addr, want)?;
-        let client = conn.client;
-        let params = conn.params;
         let sink = Box::new(conn.sink());
-        let (tx, rx) = unbounded();
-        let reader = conn.spawn_reader(tx.clone());
-        let (shared, pump) = crate::spawn_client(ClientId(client), params, sink, rx);
-        Ok(RemoteClient {
+        Ok(Self::start(conn, sink))
+    }
+
+    /// Builds the runtime over `sink` first, then hands the connection's
+    /// read half to the reader thread that delivers into it.
+    fn start(conn: TcpConnection, sink: Box<dyn RequestSink>) -> RemoteClient {
+        let client = conn.client;
+        let shared = ClientShared::new(ClientId(client), conn.params, sink);
+        let reader = conn.spawn_reader(shared.clone());
+        RemoteClient {
             client,
             shared,
-            tx,
-            threads: vec![reader, pump],
-        })
+            reader: Some(reader),
+        }
     }
 
     /// [`RemoteClient::connect_as`] with bounded retry and exponential
@@ -250,8 +254,6 @@ impl RemoteClient {
         stream: u64,
     ) -> std::io::Result<RemoteClient> {
         let conn = TcpConnection::connect(addr, want)?;
-        let client = conn.client;
-        let params = conn.params;
         let peer = conn.peer();
         let sink = Box::new(ChaosSink::new(
             Box::new(conn.sink()),
@@ -259,15 +261,7 @@ impl RemoteClient {
             stream,
             Box::new(move || peer.shutdown_conn()),
         ));
-        let (tx, rx) = unbounded();
-        let reader = conn.spawn_reader(tx.clone());
-        let (shared, pump) = crate::spawn_client(ClientId(client), params, sink, rx);
-        Ok(RemoteClient {
-            client,
-            shared,
-            tx,
-            threads: vec![reader, pump],
-        })
+        Ok(Self::start(conn, sink))
     }
 
     /// The client id the server bound this connection to.
@@ -285,18 +279,17 @@ impl RemoteClient {
         self.shutdown_inner();
     }
 
+    /// The goodbye shuts the socket, which ends the reader.
     fn shutdown_inner(&mut self) {
-        let _ = self.tx.send(ClientMsg::Shutdown);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(reader) = self.reader.take() {
+            self.shared.shutdown();
+            let _ = reader.join();
         }
     }
 }
 
 impl Drop for RemoteClient {
     fn drop(&mut self) {
-        if !self.threads.is_empty() {
-            self.shutdown_inner();
-        }
+        self.shutdown_inner();
     }
 }

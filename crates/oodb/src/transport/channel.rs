@@ -1,13 +1,14 @@
-//! The in-process channel transport: crossbeam senders on both halves.
+//! The in-process channel transport, the embedded engine's default wire.
 //!
-//! This is the embedded engine's default wire. Requests go straight into
-//! the owning worker shard's queue; envelopes go straight into the client
-//! runtime's inbox. Payload [`SharedBytes`](crate::wire::SharedBytes)
-//! `Arc`s are cloned, never serialized — the zero-copy fan-out path.
+//! Requests go straight into the owning worker shard's queue. The other
+//! half has no transport code at all: the client runtime is itself the
+//! port the server delivers to, so the delivering thread runs it.
+//! Payload [`SharedBytes`](crate::wire::SharedBytes) `Arc`s are cloned,
+//! never serialized — the zero-copy fan-out path.
 
-use super::{ClientPort, RequestSink};
+use super::RequestSink;
 use crate::error::TxnError;
-use crate::wire::{ClientMsg, ToClient, ToServer};
+use crate::wire::ToServer;
 use crossbeam::channel::Sender;
 use fgs_core::{ClientId, Oid, Request};
 
@@ -47,39 +48,5 @@ impl RequestSink for ChannelSink {
         let _ = self
             .worker_tx
             .send(ToServer::Disconnect { from: self.from });
-    }
-}
-
-/// Server→client into the runtime's inbox.
-pub(crate) struct ChannelPort {
-    inbox: Sender<ClientMsg>,
-}
-
-impl ChannelPort {
-    pub(crate) fn new(inbox: Sender<ClientMsg>) -> ChannelPort {
-        ChannelPort { inbox }
-    }
-}
-
-impl ClientPort for ChannelPort {
-    fn deliver(&self, env: ToClient) -> bool {
-        self.inbox.send(ClientMsg::Server(env)).is_ok()
-    }
-
-    /// A multi-envelope run is one enqueue (`ClientMsg::ServerBatch`), so
-    /// the pump wakes once per run instead of once per envelope.
-    fn deliver_batch(&self, mut envs: Vec<ToClient>) -> bool {
-        match envs.len() {
-            0 => true,
-            1 => self.deliver(envs.pop().expect("len checked")),
-            _ => self.inbox.send(ClientMsg::ServerBatch(envs)).is_ok(),
-        }
-    }
-
-    /// Tells the runtime its "connection" is gone, mirroring what a dead
-    /// socket does over TCP. Embedded runtimes normally outlive their
-    /// port, so this only matters when fault injection severs the port.
-    fn close(&self) {
-        let _ = self.inbox.send(ClientMsg::Lost);
     }
 }

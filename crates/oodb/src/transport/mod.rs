@@ -7,8 +7,10 @@
 //! server→client half (the completion router delivers engine-ordered
 //! envelopes through it). Two backends implement them:
 //!
-//! * [`channel`] — in-process crossbeam channels, the embedded default.
-//!   Payload `Arc`s move through memory untouched (zero-copy fan-out).
+//! * [`channel`] — the embedded default: requests travel a crossbeam
+//!   channel, and the client runtime is itself the port, so the server
+//!   thread that delivers runs the client. Payload `Arc`s move through
+//!   memory untouched (zero-copy fan-out).
 //! * [`tcp`] — real sockets framed by [`crate::codec`], used by the
 //!   `fgs-serverd` binary and [`crate::RemoteClient`], and by the
 //!   embedded engine when [`TransportKind::Tcp`] is configured (every
@@ -101,7 +103,9 @@ pub(crate) trait RequestSink: Send {
 }
 
 /// The server→client half of a transport: the completion router
-/// delivers engine-ordered envelopes through it.
+/// delivers engine-ordered envelopes through it, and a TCP client's
+/// reader thread delivers what arrives on the socket into the client
+/// runtime through the same trait.
 pub(crate) trait ClientPort: Send + Sync {
     /// Delivers one envelope; `false` means the port is dead (the router
     /// drops the message — the peer is gone).
@@ -110,15 +114,18 @@ pub(crate) trait ClientPort: Send + Sync {
     /// Delivers a run of envelopes addressed to this client, preserving
     /// their order; `false` means the port died part-way (remaining
     /// envelopes are dropped — the peer is gone). The default is one
-    /// [`deliver`](ClientPort::deliver) per envelope; transports with a
-    /// cheaper coalesced path (TCP's single vectored write per batch)
-    /// override it. Fault-injecting wrappers deliberately keep the
-    /// default so the chaos schedule still sees every message.
+    /// [`deliver`](ClientPort::deliver) per envelope; ports with a
+    /// cheaper coalesced path (TCP's single vectored write per batch, the
+    /// client runtime's single lock hold per run) override it.
+    /// Fault-injecting wrappers deliberately keep the default so the
+    /// chaos schedule still sees every message.
     fn deliver_batch(&self, envs: Vec<ToClient>) -> bool {
         envs.into_iter().all(|env| self.deliver(env))
     }
 
-    /// Tears the port down (shuts the socket; channel ports are dropped).
+    /// The connection is gone: a TCP port shuts its socket; a client
+    /// runtime fails its parked call and every later one with
+    /// [`TxnError::Server`].
     fn close(&self);
 }
 

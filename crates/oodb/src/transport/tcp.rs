@@ -5,7 +5,8 @@
 //! the frame-format version and binds a client id; the `Welcome` carries
 //! the engine parameters, so a [`RemoteClient`](crate::RemoteClient)
 //! needs no local configuration. After the handshake each side runs one
-//! dedicated reader thread; writes are serialized by a small mutex around
+//! dedicated reader thread (the client's runs the client runtime for
+//! every envelope it reads); writes are serialized by a small mutex around
 //! the write half ([`ConnWriter`] in the lock-order DAG, DESIGN.md §10).
 //!
 //! Timeouts: the handshake read is bounded (a dead or hostile peer cannot
@@ -21,7 +22,7 @@ use super::{ClientParams, ClientPort, PortMap, RequestSink};
 use crate::chaos::{ChaosConfig, ChaosPort};
 use crate::codec::{read_frame, BatchEncoder, Frame, PROTOCOL_VERSION};
 use crate::error::TxnError;
-use crate::wire::{ClientMsg, ToClient, ToServer};
+use crate::wire::{ToClient, ToServer};
 use crossbeam::channel::Sender;
 use fgs_core::sync::Mutex;
 use fgs_core::{ClientId, Oid, Protocol, Request};
@@ -583,10 +584,12 @@ impl TcpConnection {
         self.peer.clone()
     }
 
-    /// Consumes the read half into a reader thread feeding `inbox`:
-    /// server envelopes as [`ClientMsg::Server`], connection death as
-    /// [`ClientMsg::Lost`].
-    pub(crate) fn spawn_reader(self, inbox: Sender<ClientMsg>) -> JoinHandle<()> {
+    /// Consumes the read half into the `fgs-rx-N` reader thread, which
+    /// runs the client (`port.deliver`) for every server envelope, then —
+    /// on `Bye`, an unexpected frame or a dead socket — tells it the
+    /// server is unreachable (`port.close`). A port that refuses a
+    /// delivery is closed already; the reader stops there too.
+    pub(crate) fn spawn_reader(self, port: Arc<dyn ClientPort>) -> JoinHandle<()> {
         let TcpConnection {
             peer,
             mut read_half,
@@ -596,30 +599,22 @@ impl TcpConnection {
         std::thread::Builder::new()
             .name(format!("fgs-rx-{client}"))
             .spawn(move || {
-                loop {
-                    match read_frame(&mut read_half) {
-                        Ok(Frame::Server {
-                            msg,
-                            page_image,
-                            object_bytes,
-                        }) => {
-                            let env = ToClient {
-                                msg,
-                                page_image,
-                                object_bytes,
-                            };
-                            if inbox.send(ClientMsg::Server(env)).is_err() {
-                                break; // runtime is gone
-                            }
-                        }
-                        // `Bye`, an unexpected frame, or a dead socket:
-                        // tell the runtime the server is unreachable.
-                        Ok(_) | Err(_) => {
-                            let _ = inbox.send(ClientMsg::Lost);
-                            break;
-                        }
+                while let Ok(Frame::Server {
+                    msg,
+                    page_image,
+                    object_bytes,
+                }) = read_frame(&mut read_half)
+                {
+                    let env = ToClient {
+                        msg,
+                        page_image,
+                        object_bytes,
+                    };
+                    if !port.deliver(env) {
+                        break;
                     }
                 }
+                port.close();
                 peer.shutdown_conn();
             })
             .expect("spawn connection reader")

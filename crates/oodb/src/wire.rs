@@ -1,5 +1,7 @@
-//! Internal channel message types between client runtimes and the server
-//! threads.
+//! The envelopes client runtimes and the server pipeline exchange:
+//! [`ToServer`] travels a worker shard's queue, [`ToClient`] is handed to
+//! the client's port, which runs the client runtime on the delivering
+//! thread (or ships it over a socket).
 
 use fgs_core::{ClientId, Oid, Request, ServerMsg};
 
@@ -39,26 +41,4 @@ pub(crate) struct ToClient {
     /// Resolved bytes of the requested object (present with grants; used
     /// when the object's home slot holds a forwarding stub).
     pub object_bytes: Option<SharedBytes>,
-}
-
-/// The client pump thread's inbox: everything the transport delivers to
-/// one client, in per-client FIFO order (application calls never pass
-/// through here — they run the runtime on their own thread).
-#[derive(Debug)]
-pub(crate) enum ClientMsg {
-    /// An envelope from the server.
-    Server(ToClient),
-    /// A seq-contiguous run of envelopes delivered as one enqueue: the
-    /// channel transport's zero-copy batch path (`ClientPort::deliver_batch`
-    /// on `ChannelPort`). The pump handles the envelopes in order under one
-    /// lock hold, so the per-client ordering guarantee is unchanged.
-    ServerBatch(Vec<ToClient>),
-    /// The transport lost the server connection: the parked call and every
-    /// future one fail with [`TxnError::Server`](crate::TxnError::Server).
-    /// Channel transports never send this; the TCP reader does when the
-    /// socket dies.
-    Lost,
-    /// The engine (or remote client) is shutting down: close the runtime
-    /// and stop the pump.
-    Shutdown,
 }
