@@ -102,7 +102,6 @@ fn derive_plan(seed: u64, mode: Mode, txns_per_client: usize) -> Plan {
         n_clients,
         client_cache_pages: 2 + r(4) as usize,
         server_pool_pages: 8,
-        server_workers: 1 + r(3) as usize,
         paranoid: true,
         transport: match mode {
             Mode::Channel => TransportKind::Channel,

@@ -17,17 +17,19 @@ use std::fmt;
 /// `c as u8 > h as u8`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockClass {
-    /// One client workstation's runtime — protocol engine plus byte cache
-    /// (`client.rs`) — locked by application calls and by whichever
-    /// thread delivers the client's server messages (a server worker, the
-    /// log writer, a chaos or TCP reader thread). Outermost: it is held
-    /// across `RequestSink::send_request` (which takes `ConnWriter` over
-    /// TCP), so every caller and every deliverer takes it with nothing
-    /// held — the completion router never delivers under its own lock.
+    /// One client workstation's runtime — protocol engine, byte cache and
+    /// request outbox (`client.rs`) — locked by application calls and by
+    /// whichever thread delivers the client's server messages (any thread
+    /// running a request, the log writer, a TCP reader thread). Outermost:
+    /// it is held across `RequestSink::send_request` (which takes
+    /// `ConnWriter` over TCP), so every caller and every deliverer takes
+    /// it with nothing held — the completion router never delivers under
+    /// its own lock, and a thread serves what it queued only after
+    /// dropping this one.
     ClientState = 0,
     /// The log-writer thread's request board (`server.rs`): the
-    /// requested-durability watermark and pending-commit count workers
-    /// hand to the dedicated WAL writer.
+    /// requested-durability watermark and pending-commit count request
+    /// runs hand to the dedicated WAL writer.
     LogWriterState = 1,
     /// A pipeline stage's protocol/engine mutex (`server.rs`).
     ProtocolStage = 2,

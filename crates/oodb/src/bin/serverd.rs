@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! fgs-serverd [--addr HOST:PORT] [--protocol ps|os|ps-oo|ps-oa|ps-aa]
-//!             [--clients N] [--workers N] [--db-pages N]
+//!             [--clients N] [--db-pages N]
 //!             [--objects-per-page N] [--object-size BYTES]
 //!             [--page-size BYTES]
 //! ```
@@ -20,7 +20,7 @@ use std::process::exit;
 fn usage() -> ! {
     eprintln!(
         "usage: fgs-serverd [--addr HOST:PORT] [--protocol ps|os|ps-oo|ps-oa|ps-aa]\n\
-         \x20                  [--clients N] [--workers N] [--db-pages N]\n\
+         \x20                  [--clients N] [--db-pages N]\n\
          \x20                  [--objects-per-page N] [--object-size BYTES]\n\
          \x20                  [--page-size BYTES]"
     );
@@ -55,7 +55,6 @@ fn main() {
     let mut addr = "127.0.0.1:4468".to_string();
     let mut config = EngineConfig {
         n_clients: 16,
-        server_workers: 8,
         ..EngineConfig::default()
     };
     let mut args = std::env::args().skip(1);
@@ -71,7 +70,6 @@ fn main() {
             "--addr" => addr = value,
             "--protocol" => config.protocol = parse_protocol(&value),
             "--clients" => config.n_clients = parse_num(&flag, &value),
-            "--workers" => config.server_workers = parse_num(&flag, &value),
             "--db-pages" => config.db_pages = parse_num(&flag, &value),
             "--objects-per-page" => config.objects_per_page = parse_num(&flag, &value),
             "--object-size" => config.object_size = parse_num(&flag, &value),
@@ -91,11 +89,10 @@ fn main() {
         }
     };
     println!(
-        "fgs-serverd: serving {:?} on {} ({} client slots, {} workers)",
+        "fgs-serverd: serving {:?} on {} ({} client slots)",
         server.config().protocol,
         server.local_addr(),
         server.config().n_clients,
-        server.config().server_workers,
     );
     // Serve until killed. The handle's Drop checkpoints and tears the
     // pipeline down if we ever get here.

@@ -7,10 +7,9 @@
 //!
 //! * [`ChaosSink`] wraps a [`RequestSink`] (client→server): requests can
 //!   be delayed in place, or the connection severed under them.
-//! * [`ChaosPort`] wraps a [`ClientPort`] (server→client): envelopes are
-//!   re-queued through a per-port delivery thread, so one port's delays
-//!   (the paper-level "grant delay") never stall other clients, and the
-//!   per-client FIFO the protocol requires is preserved.
+//! * [`ChaosPort`] wraps a [`ClientPort`] (server→client): envelopes can
+//!   be delayed on the delivering thread (the paper-level "grant delay"),
+//!   or the connection severed before or after them.
 //!
 //! FGSP runs over TCP, a reliable FIFO stream: a *frame* cannot be
 //! dropped, duplicated, or reordered while the connection lives. Those
@@ -177,7 +176,7 @@ impl ChaosState {
 /// fault would.
 pub(crate) struct ChaosSink {
     inner: Box<dyn RequestSink>,
-    state: Mutex<ChaosState>,
+    state: ChaosState,
     sever: Box<dyn Fn() + Send + Sync>,
 }
 
@@ -190,7 +189,7 @@ impl ChaosSink {
     ) -> ChaosSink {
         ChaosSink {
             inner,
-            state: Mutex::new(ChaosState::new(cfg, stream)),
+            state: ChaosState::new(cfg, stream),
             sever,
         }
     }
@@ -198,13 +197,12 @@ impl ChaosSink {
 
 impl RequestSink for ChaosSink {
     fn send_request(
-        &self,
+        &mut self,
         from: ClientId,
         req: Request,
         commit_data: Vec<(Oid, Vec<u8>)>,
     ) -> Result<(), TxnError> {
-        let event = self.state.lock().draw();
-        match event {
+        match self.state.draw() {
             ChaosEvent::Deliver => self.inner.send_request(from, req, commit_data),
             ChaosEvent::Delay(us) => {
                 std::thread::sleep(Duration::from_micros(us));
@@ -222,7 +220,7 @@ impl RequestSink for ChaosSink {
         }
     }
 
-    fn close(&self) {
+    fn close(&mut self) {
         self.inner.close();
     }
 }
@@ -231,76 +229,57 @@ impl RequestSink for ChaosSink {
 // Server→client: the port wrapper
 // ----------------------------------------------------------------------
 
-enum PortCmd {
-    Deliver(ToClient),
-    Close,
-}
-
-/// A fault-injecting [`ClientPort`]. Envelopes are handed to a dedicated
-/// delivery thread (one per port), so injected delays stall only this
-/// client while the server worker that delivered moves on; the thread
-/// delivers in arrival order, preserving the engine-order FIFO.
+/// A fault-injecting [`ClientPort`], run on the delivering thread like
+/// the port it wraps: an injected delay stalls that thread, as a slow
+/// link stalls its sender. One thread at a time delivers to a client, so
+/// the engine-order FIFO holds.
 pub(crate) struct ChaosPort {
-    tx: crossbeam::channel::Sender<PortCmd>,
+    inner: Arc<dyn ClientPort>,
+    /// The schedule; `None` once it severed the connection or the port
+    /// closed, after which envelopes drain quietly.
+    state: Mutex<Option<ChaosState>>,
 }
 
 impl ChaosPort {
     /// Wraps `inner`; the schedule kills the connection by closing it.
     pub(crate) fn new(inner: Arc<dyn ClientPort>, cfg: ChaosConfig, stream: u64) -> ChaosPort {
-        let (tx, rx) = crossbeam::channel::unbounded::<PortCmd>();
-        let mut state = ChaosState::new(cfg, stream);
-        std::thread::Builder::new()
-            .name("fgs-chaos-port".into())
-            .spawn(move || {
-                let mut severed = false;
-                for cmd in rx.iter() {
-                    let env = match cmd {
-                        PortCmd::Close => break,
-                        PortCmd::Deliver(env) => env,
-                    };
-                    if severed {
-                        continue; // the connection is gone; drain quietly
-                    }
-                    match state.draw() {
-                        ChaosEvent::Deliver => {
-                            let _ = inner.deliver(env);
-                        }
-                        ChaosEvent::Delay(us) => {
-                            std::thread::sleep(Duration::from_micros(us));
-                            let _ = inner.deliver(env);
-                        }
-                        ChaosEvent::Duplicate => {
-                            let _ = inner.deliver(env);
-                            severed = true;
-                        }
-                        ChaosEvent::Drop | ChaosEvent::Reorder | ChaosEvent::Reset => {
-                            severed = true;
-                        }
-                    }
-                    if severed {
-                        inner.close();
-                    }
-                }
-                inner.close();
-            })
-            .expect("spawn chaos port");
-        ChaosPort { tx }
+        let state = Mutex::new(Some(ChaosState::new(cfg, stream)));
+        ChaosPort { inner, state }
     }
 }
 
 impl ClientPort for ChaosPort {
     fn deliver(&self, env: ToClient) -> bool {
-        self.tx.send(PortCmd::Deliver(env)).is_ok()
+        let event = {
+            let mut state = self.state.lock();
+            let Some(event) = state.as_mut().map(ChaosState::draw) else {
+                return true;
+            };
+            if !matches!(event, ChaosEvent::Deliver | ChaosEvent::Delay(_)) {
+                *state = None;
+            }
+            event
+        };
+        match event {
+            ChaosEvent::Deliver => {
+                let _ = self.inner.deliver(env);
+            }
+            ChaosEvent::Delay(us) => {
+                std::thread::sleep(Duration::from_micros(us));
+                let _ = self.inner.deliver(env);
+            }
+            ChaosEvent::Duplicate => {
+                let _ = self.inner.deliver(env);
+                self.inner.close();
+            }
+            ChaosEvent::Drop | ChaosEvent::Reorder | ChaosEvent::Reset => self.inner.close(),
+        }
+        true
     }
 
     fn close(&self) {
-        let _ = self.tx.send(PortCmd::Close);
-    }
-}
-
-impl Drop for ChaosPort {
-    fn drop(&mut self) {
-        let _ = self.tx.send(PortCmd::Close);
+        *self.state.lock() = None;
+        self.inner.close();
     }
 }
 
@@ -391,13 +370,6 @@ mod tests {
             assert!(port.deliver(env()));
         }
         port.close();
-        // Wait for the delivery thread to drain.
-        for _ in 0..200 {
-            if inner.closed.load(Ordering::SeqCst) >= 2 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
         assert_eq!(
             inner.delivered.load(Ordering::SeqCst),
             0,

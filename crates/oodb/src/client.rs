@@ -3,11 +3,11 @@
 //! objects), kept as passive shared state that whoever has input drives.
 //! Application calls run it on the calling thread — a cache hit costs one
 //! lock, no thread hop — and a server message runs it on the thread that
-//! delivers it: [`ClientShared`] is the client's [`ClientPort`]
-//! (DESIGN.md §8).
+//! delivers it: [`ClientShared`] is the client's [`ClientPort`]; either
+//! thread then serves the requests it queued (DESIGN.md §8).
 
 use crate::error::TxnError;
-use crate::transport::{ClientParams, ClientPort, RequestSink};
+use crate::transport::{ClientParams, ClientPort, RequestSink, Run};
 use crate::wire::{into_owned, SharedBytes, ToClient};
 use fgs_core::client::{ClientAction, ClientEngine, TxnOutcome};
 use fgs_core::sync::{Condvar, Mutex, MutexGuard};
@@ -94,12 +94,16 @@ impl ClientShared {
         Ok(self.enter()?.engine.stats().clone())
     }
 
-    /// Runs one call on the calling thread: a hit completes right there
-    /// and returns without touching another thread; a miss or commit has
-    /// sent its request and parks until a delivery completes it.
+    /// Runs one call on the calling thread: a hit completes right there;
+    /// a miss or commit serves its own request, which may complete it on
+    /// this thread, and otherwise parks until a delivery completes it.
     pub(crate) fn call(&self, call: Call) -> Reply {
         let mut rt = self.enter()?;
         rt.start(call)?;
+        if let Some(run) = rt.sink.claim_run(false) {
+            drop(rt);
+            rt = self.serve(run);
+        }
         let mut deadline = None;
         loop {
             if let Some(res) = rt.done.take() {
@@ -112,8 +116,11 @@ impl ClientShared {
                 // overlap it. Declare the connection dead instead: the
                 // sink closes (telling the server the client is gone),
                 // every later call fails fast, and a late grant is dropped.
-                rt.close();
-                rt.done = None;
+                drop(rt);
+                self.turn(|rt| {
+                    rt.close();
+                    rt.done = None;
+                });
                 return Err(TxnError::Io("rpc timed out; connection closed".into()));
             }
             self.done.wait_for(&mut rt, left);
@@ -124,26 +131,59 @@ impl ClientShared {
     /// through the sink, a parked caller failed — so a `Session` that
     /// outlives its engine gets [`TxnError::Closed`] instead of parking.
     pub(crate) fn shutdown(&self) {
-        let mut rt = self.state.lock();
-        rt.close();
-        self.wake(rt);
+        self.turn(ClientRuntime::close);
     }
 
-    /// Handles a run of server envelopes under one lock hold, then wakes
-    /// the parked caller if that completed its call. Stops at the first
-    /// envelope that finds the runtime dead; `false` tells the deliverer
-    /// to drop the rest.
+    /// Handles a run of server envelopes under one lock hold. Stops at the
+    /// first envelope that finds the runtime dead; `false` tells the
+    /// deliverer to drop the rest.
     fn handle_run(&self, envs: impl IntoIterator<Item = ToClient>) -> bool {
-        let mut rt = self.state.lock();
-        for env in envs {
-            if rt.dead.is_some() {
-                break;
+        self.turn(|rt| {
+            for env in envs {
+                if rt.dead.is_some() {
+                    break;
+                }
+                rt.handle_server(env);
             }
-            rt.handle_server(env);
+            rt.dead.is_none()
+        })
+    }
+
+    /// Runs `f` under the lock, then — unlocked — wakes the parked caller
+    /// if its call completed, and serves what `f` queued for the server.
+    fn turn<R>(&self, f: impl FnOnce(&mut ClientRuntime) -> R) -> R {
+        let mut rt = self.state.lock();
+        let out = f(&mut rt);
+        let run = rt.sink.claim_run(false);
+        let done = rt.done.is_some();
+        drop(rt);
+        if done {
+            self.done.notify_one();
         }
-        let alive = rt.dead.is_none();
-        self.wake(rt);
-        alive
+        if let Some(run) = run {
+            let rt = self.serve(run);
+            self.wake(rt);
+        }
+        out
+    }
+
+    /// Serves `run`, then whatever else the outbox holds — including what
+    /// nested deliveries to this client queued meanwhile — one batch at a
+    /// time, unlocked; returns with the lock held and the outbox empty.
+    /// A refused run means the server is closed (or gone): a lost
+    /// connection.
+    fn serve(&self, mut run: Run) -> MutexGuard<'_, ClientRuntime> {
+        loop {
+            let served = run.0.upgrade().is_some_and(|server| server.serve(run.1));
+            let mut rt = self.state.lock();
+            if !served {
+                rt.conn_lost();
+            }
+            match rt.sink.claim_run(true) {
+                Some(next) => run = next,
+                None => return rt,
+            }
+        }
     }
 
     /// Notifies after the guard drops, so the woken caller finds the lock
@@ -158,18 +198,17 @@ impl ClientShared {
 }
 
 /// The client is its own port: the thread that delivers a server message
-/// — a server worker or the log writer on the channel transport, the
-/// chaos delivery thread under fault injection, the connection's reader
-/// thread over TCP — runs the engine on the spot.
+/// — on the channel transport the run that produced it or the log
+/// writer (through a chaos port under fault injection), over TCP the
+/// connection's reader thread — runs the engine on the spot.
 ///
 /// That thread may take `ClientState`, the outermost lock class, because
 /// every deliverer holds no lock when it calls in: the completion router
 /// drops `CompletionState` before it delivers, the log writer drops
-/// `LogWriterState` before it advances the router, and the chaos and
-/// reader threads hold nothing. Under `ClientState` the client only
-/// sends, and its targets never block: a worker's unbounded queue on the
-/// channel transport, or a socket the server's connection thread always
-/// drains over TCP.
+/// `LogWriterState` before it advances the router, a chaos port holds
+/// no lock while it delivers, and reader threads hold nothing. Under
+/// `ClientState` the client only
+/// queues into its outbox or, over TCP, writes a socket (DESIGN.md §10).
 impl ClientPort for ClientShared {
     fn deliver(&self, env: ToClient) -> bool {
         self.handle_run(std::iter::once(env))
@@ -183,9 +222,7 @@ impl ClientPort for ClientShared {
     /// The transport lost the server: fails the parked caller and every
     /// later call with [`TxnError::Server`].
     fn close(&self) {
-        let mut rt = self.state.lock();
-        rt.conn_lost();
-        self.wake(rt);
+        self.turn(ClientRuntime::conn_lost);
     }
 }
 
@@ -581,18 +618,23 @@ impl ClientRuntime {
     }
 }
 
-/// A client runtime over a recording sink, with no server and no
-/// transport: tests deliver its server messages by hand, on whichever
-/// thread they choose.
+/// A client runtime over a recording sink, with no transport: tests
+/// deliver its server messages by hand, on whichever thread they choose,
+/// or let an [`InlineServer`] behind a real channel-transport outbox
+/// answer its reads on the thread that serves them.
 #[cfg(test)]
 mod testkit {
     use super::*;
+    use crate::transport::channel::ChannelSink;
+    use crate::transport::Serve;
+    use crate::wire::ToServer;
     use crate::Session;
     use crossbeam::channel::{unbounded, Receiver, Sender};
     use fgs_core::GrantLevel;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{OnceLock, Weak};
 
-    /// What the sink saw.
+    /// What the sink saw, in the order the runtime sent it.
     pub(super) struct Wire {
         pub sent: Mutex<Vec<Request>>,
         /// How many times the runtime said goodbye.
@@ -600,22 +642,65 @@ mod testkit {
         seen: Sender<Request>,
     }
 
-    struct RecordingSink(Arc<Wire>);
+    /// Records every request, then hands it to the channel transport's
+    /// outbox when there is one. Both happen under the client's lock, so
+    /// `sent` is the outbox's order.
+    struct RecordingSink {
+        wire: Arc<Wire>,
+        outbox: Option<ChannelSink>,
+    }
 
     impl RequestSink for RecordingSink {
         fn send_request(
-            &self,
-            _from: ClientId,
+            &mut self,
+            from: ClientId,
             req: Request,
-            _commit_data: Vec<(Oid, Vec<u8>)>,
+            commit_data: Vec<(Oid, Vec<u8>)>,
         ) -> Result<(), TxnError> {
-            self.0.sent.lock().push(req.clone());
-            let _ = self.0.seen.send(req);
-            Ok(())
+            self.wire.sent.lock().push(req.clone());
+            let _ = self.wire.seen.send(req.clone());
+            match &mut self.outbox {
+                Some(outbox) => outbox.send_request(from, req, commit_data),
+                None => Ok(()),
+            }
         }
 
-        fn close(&self) {
-            self.0.closes.fetch_add(1, Ordering::SeqCst);
+        fn close(&mut self) {
+            self.wire.closes.fetch_add(1, Ordering::SeqCst);
+            if let Some(outbox) = &mut self.outbox {
+                outbox.close();
+            }
+        }
+
+        fn claim_run(&mut self, resume: bool) -> Option<Run> {
+            self.outbox.as_mut()?.claim_run(resume)
+        }
+    }
+
+    /// A server that runs on whichever thread serves the client's
+    /// outbox, as the real one does: it records every request it runs,
+    /// in order, and answers a read with a whole-page grant delivered
+    /// straight back into the client on that same thread.
+    pub(super) struct InlineServer {
+        pub served: Mutex<Vec<Request>>,
+        client: OnceLock<Weak<ClientShared>>,
+    }
+
+    impl Serve for InlineServer {
+        fn serve(&self, batch: Vec<ToServer>) -> bool {
+            for env in batch {
+                let ToServer::Req { req, .. } = env else {
+                    continue; // the goodbye
+                };
+                self.served.lock().push(req.clone());
+                if let Request::Read { txn, oid } = req {
+                    let client = self.client.get().and_then(Weak::upgrade);
+                    client
+                        .expect("the client outlives its runs")
+                        .deliver(page_grant(txn, oid, false));
+                }
+            }
+            true
         }
     }
 
@@ -632,6 +717,22 @@ mod testkit {
     /// time out after `timeout`, and a feed of every request it sends, for
     /// a thread that must block until one is on the wire.
     pub(super) fn rig(timeout: Duration) -> (Rig, Receiver<Request>) {
+        rig_over(timeout, None)
+    }
+
+    /// The same client on the channel transport, its outbox served by
+    /// an [`InlineServer`].
+    pub(super) fn inline_rig(timeout: Duration) -> (Rig, Arc<InlineServer>) {
+        let server = Arc::new(InlineServer {
+            served: Mutex::new(Vec::new()),
+            client: OnceLock::new(),
+        });
+        let (rig, _) = rig_over(timeout, Some(server.clone()));
+        let _ = server.client.set(Arc::downgrade(&rig.shared));
+        (rig, server)
+    }
+
+    fn rig_over(timeout: Duration, server: Option<Arc<dyn Serve>>) -> (Rig, Receiver<Request>) {
         let (seen, requests) = unbounded();
         let wire = Arc::new(Wire {
             sent: Mutex::new(Vec::new()),
@@ -645,7 +746,10 @@ mod testkit {
             client_cache_pages: 4,
             first_txn_seq: 0,
         };
-        let sink = Box::new(RecordingSink(wire.clone()));
+        let sink = Box::new(RecordingSink {
+            wire: wire.clone(),
+            outbox: server.map(|server| ChannelSink::new(ClientId(0), Arc::downgrade(&server))),
+        });
         let shared = Arc::new(ClientShared {
             state: Mutex::new(ClientRuntime::new(ClientId(0), params, sink)),
             done: Condvar::new(),
@@ -685,6 +789,15 @@ mod testkit {
         }
     }
 
+    /// An adaptive callback for slot 0 of `page`.
+    pub(super) fn callback_on(page: PageId) -> ToClient {
+        control(ServerMsg::Callback {
+            callback: fgs_core::CallbackId(9),
+            page,
+            target: fgs_core::CallbackTarget::PageAdaptive { slot: 0 },
+        })
+    }
+
     /// A whole-page grant for `oid`'s page: every slot holds [`FILL`].
     pub(super) fn page_grant(txn: TxnId, oid: Oid, write: bool) -> ToClient {
         let mut image = SlottedPage::new(256);
@@ -717,7 +830,7 @@ mod testkit {
 mod tests {
     use super::testkit::*;
     use super::*;
-    use fgs_core::{CallbackId, CallbackReply, CallbackTarget};
+    use fgs_core::{CallbackId, CallbackReply};
     use std::sync::atomic::Ordering;
 
     /// The rpc timeout where none should expire. A parked caller rechecks
@@ -735,11 +848,7 @@ mod tests {
     }
 
     fn callback() -> ToClient {
-        control(ServerMsg::Callback {
-            callback: CallbackId(9),
-            page: PAGE,
-            target: CallbackTarget::PageAdaptive { slot: 0 },
-        })
+        callback_on(PAGE)
     }
 
     /// Transaction 1 reads `PAGE` from the server and commits, leaving
@@ -770,6 +879,22 @@ mod tests {
         assert_eq!(rig.session.read(b).unwrap(), b"v2");
         assert_eq!(rig.session.stats().unwrap().hits, 3);
         assert_eq!(rig.wire.sent.lock().len(), sent, "a hit sends nothing");
+    }
+
+    /// On the channel transport a miss's request is served by its own
+    /// caller once the lock is dropped, and the server's grant comes
+    /// straight back into the client on that thread: the call returns
+    /// with its result already set, never parking. The zero rpc timeout
+    /// turns any park into an error, and no other thread exists.
+    #[test]
+    fn an_inline_served_miss_completes_without_parking() {
+        let (rig, server) = inline_rig(Duration::ZERO);
+        let a = Oid::new(PAGE, 0);
+        rig.session.begin().unwrap();
+        let txn = rig.txn();
+        assert_eq!(rig.session.read(a).unwrap(), FILL);
+        assert_eq!(*server.served.lock(), vec![Request::Read { txn, oid: a }]);
+        assert_eq!(rig.session.read(Oid::new(PAGE, 1)).unwrap(), FILL, "a hit");
     }
 
     /// The one ordering relaxation (DESIGN.md §12): a cached read may be
@@ -987,5 +1112,31 @@ mod loom_tests {
                 assert_eq!(rig.session.begin(), Err(TxnError::Server));
             },
         );
+    }
+
+    /// The outbox hand-off on the channel transport: the caller serves
+    /// its own read miss (the grant comes back on its thread) while a
+    /// deliverer makes the client answer a callback, queueing the reply
+    /// in the same outbox. Whichever thread ends up serving the reply,
+    /// every queued request runs exactly once, in the order it was
+    /// queued, and none is stranded when the serving thread lets go.
+    #[test]
+    fn the_outbox_runs_every_request_once_in_queue_order() {
+        loom::model(|| {
+            let timeout = Duration::from_secs(5);
+            let (rig, server) = inline_rig(timeout);
+            let started = Instant::now();
+            rig.session.begin().unwrap();
+            let deliverer = {
+                let shared = rig.shared.clone();
+                thread::spawn(move || assert!(shared.deliver(callback_on(PageId(5)))))
+            };
+            assert_eq!(rig.session.read(Oid::new(PAGE, 0)).unwrap(), FILL);
+            deliverer.join().unwrap();
+            let queued = rig.wire.sent.lock().clone();
+            assert_eq!(queued.len(), 2, "the read and the callback reply");
+            assert_eq!(*server.served.lock(), queued, "lost, doubled or reordered");
+            assert!(started.elapsed() < timeout, "a wake-up was lost");
+        });
     }
 }

@@ -24,11 +24,6 @@ pub struct EngineConfig {
     pub client_cache_pages: usize,
     /// Server buffer pool size in pages.
     pub server_pool_pages: usize,
-    /// Worker threads in the server's request pipeline. Clients are
-    /// sharded over workers (`client % server_workers`), preserving each
-    /// client's request order while requests from different clients are
-    /// handled concurrently. Capped at `n_clients` at startup.
-    pub server_workers: usize,
     /// Run the server engine's internal invariant checks after every
     /// request even in release builds (always on under
     /// `debug_assertions`). Expensive; for stress tests.
@@ -61,7 +56,6 @@ impl Default for EngineConfig {
             n_clients: 4,
             client_cache_pages: 16,
             server_pool_pages: 32,
-            server_workers: 4,
             paranoid: false,
             transport: TransportKind::from_env(),
             txn_epoch: 0,
@@ -77,7 +71,6 @@ impl EngineConfig {
         assert!((1..=64).contains(&self.objects_per_page));
         assert!(self.n_clients > 0);
         assert!(self.client_cache_pages > 0 && self.server_pool_pages > 0);
-        assert!(self.server_workers > 0);
         assert!(self.page_size >= 64);
         // All objects must fit a fresh page alongside the directory.
         let payload = (self.object_size + 1 + 4) * self.objects_per_page as usize;

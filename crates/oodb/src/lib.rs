@@ -2,17 +2,20 @@
 //!
 //! An embedded, multi-threaded **page-server OODBMS** implementing the
 //! five granularity schemes of Carey, Franklin & Zaharioudakis (SIGMOD
-//! 1994). The server is a staged pipeline — a worker pool shards
-//! requests by client, commit records are appended to a double-buffered
-//! WAL tail and forced by a dedicated log-writer thread (acks released
-//! by the completion router once the durable watermark passes them), the
-//! protocol engine runs single-writer under a small lock, and data
-//! payloads are attached outside it. Each client workstation is
-//! passive state — its own cache (page images or objects) driven by the
-//! client protocol engine — that a [`Session`] call runs on the calling
-//! thread, so an access to a cached object costs a lock and no message
-//! or thread hop; a server message runs it on the thread that delivers
-//! it (a server worker, the log writer, or a TCP connection's reader).
+//! 1994). The server is a staged pipeline with no request threads of its
+//! own — whoever sends a request runs it through every stage: commit
+//! records are appended to a double-buffered WAL tail and forced by a
+//! dedicated log-writer thread (acks released by the completion router
+//! once the durable watermark passes them), the protocol engine runs
+//! single-writer under a small lock, and data payloads are attached
+//! outside it. Each client workstation is passive state — its own cache
+//! (page images or objects) driven by the client protocol engine — that
+//! a [`Session`] call runs on the calling thread, so an access to a
+//! cached object costs a lock and no message or thread hop; a miss or a
+//! commit runs its own request through the server on that same thread,
+//! and a server message runs the client on the thread that delivers it
+//! (whichever thread is running the request that produced it, the log
+//! writer, or a TCP connection's reader).
 //! The engines are the *same* `fgs-core` engines the simulator
 //! evaluates, so the measured protocols and the executable system cannot
 //! diverge.
@@ -83,76 +86,49 @@ use crate::server::{log_writer_loop, ServerRuntime};
 use crate::transport::channel::ChannelSink;
 use crate::transport::tcp::{TcpConnection, TcpServer, WelcomeInfo};
 use crate::transport::{ClientParams, ClientPort};
-use crate::wire::ToServer;
-use crossbeam::channel::{unbounded, Sender};
 use fgs_core::server::ServerEngine;
 use fgs_core::{ClientId, ServerStats};
 use fgs_pagestore::{DiskManager, MemDisk, RecoveryReport, Store};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// The transport-independent server half: the sharded worker pool
-/// (which delivers its own batches, in engine order, through the
-/// completion router) and the log writer. [`Oodb`] wires local clients
-/// onto it; [`serve_tcp`] exposes it to remote ones.
+/// The transport-independent server half: the request pipeline, which
+/// whoever sends a request runs (delivering, in engine order, through
+/// the completion router), and the log writer — the server's one thread.
+/// [`Oodb`] wires local clients onto it; [`serve_tcp`] exposes it to
+/// remote ones.
 pub(crate) struct ServerCore {
     runtime: Arc<ServerRuntime>,
-    worker_txs: Vec<Sender<ToServer>>,
-    workers: Vec<JoinHandle<()>>,
     /// The dedicated log-writer thread; stopped (with a final catch-up
-    /// cycle) only after every worker has drained, so all registered
-    /// commits are forced and acked before it exits.
+    /// cycle) only after the close and the runs still in flight, so all
+    /// registered commits are forced and acked before it exits.
     log_writer: Option<JoinHandle<()>>,
 }
 
 impl ServerCore {
-    /// Starts the pipeline: one log-writer thread plus
-    /// `min(server_workers, port_limit)` workers. `port_limit` caps
-    /// client ids (they shard over workers as `client % workers`).
-    pub(crate) fn start(config: &EngineConfig, store: Store, port_limit: u16) -> ServerCore {
+    /// Starts the pipeline and its log-writer thread, admitting client
+    /// ids below `config.n_clients`.
+    pub(crate) fn start(config: &EngineConfig, store: Store) -> ServerCore {
         let engine = ServerEngine::new(config.protocol, config.objects_per_page);
         let runtime = Arc::new(ServerRuntime::new(
             engine,
             store,
             config.paranoid,
-            port_limit,
+            config.n_clients,
         ));
-        let n_workers = config.server_workers.min(port_limit as usize);
-
         // The durability stage: one thread owning the WAL tail, cycling
-        // seal → write → force over whatever the workers appended and
+        // seal → write → force over whatever the runs appended and
         // advancing the completion router's durable watermark.
         let log_writer = {
             let runtime = runtime.clone();
-            Some(
-                std::thread::Builder::new()
-                    .name("fgs-wal".into())
-                    .spawn(move || log_writer_loop(&runtime))
-                    .expect("spawn log writer"),
-            )
+            std::thread::Builder::new()
+                .name("fgs-wal".into())
+                .spawn(move || log_writer_loop(&runtime))
+                .expect("spawn log writer")
         };
-
-        // The worker pool: clients are sharded over workers so each
-        // client's requests stay FIFO.
-        let mut worker_txs = Vec::new();
-        let mut workers = Vec::new();
-        for w in 0..n_workers {
-            let (tx, rx) = unbounded();
-            worker_txs.push(tx);
-            let runtime = runtime.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("fgs-server-{w}"))
-                    .spawn(move || runtime.worker_loop(rx))
-                    .expect("spawn server worker"),
-            );
-        }
-
         ServerCore {
             runtime,
-            worker_txs,
-            workers,
-            log_writer,
+            log_writer: Some(log_writer),
         }
     }
 
@@ -160,32 +136,22 @@ impl ServerCore {
         self.runtime.store().flush_all()
     }
 
-    /// Stops the worker pool and then the log writer (whose last cycle
-    /// forces and acks everything the workers registered). Transport
-    /// threads (and their ports) must be gone first so no request
-    /// arrives after its worker.
+    /// Closes the server — a later request fails with
+    /// [`TxnError::Server`] — and joins the log writer, whose last cycle,
+    /// taken once the runs in flight finish, forces and acks everything
+    /// they registered.
     pub(crate) fn shutdown(&mut self) {
-        for tx in &self.worker_txs {
-            let _ = tx.send(ToServer::Shutdown);
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
         if let Some(writer) = self.log_writer.take() {
-            self.runtime.stop_log_writer();
+            self.runtime.close();
             let _ = writer.join();
         }
     }
-
-    pub(crate) fn is_shut_down(&self) -> bool {
-        self.workers.is_empty() && self.log_writer.is_none()
-    }
 }
 
-/// An embedded page-server database: a sharded server worker pool plus
-/// one client runtime per client workstation — run by its callers and by
-/// whichever thread delivers its server messages — wired over the
-/// configured [`TransportKind`].
+/// An embedded page-server database: the server pipeline plus one client
+/// runtime per client workstation — run by its callers and by whichever
+/// thread delivers its server messages — wired over the configured
+/// [`TransportKind`].
 pub struct Oodb {
     config: EngineConfig,
     core: ServerCore,
@@ -234,7 +200,7 @@ impl Oodb {
     }
 
     fn start(config: EngineConfig, store: Store) -> std::io::Result<Oodb> {
-        let core = ServerCore::start(&config, store, config.n_clients);
+        let core = ServerCore::start(&config, store);
         let params = ClientParams::from_config(&config);
         let mut clients = Vec::new();
         let mut readers = Vec::new();
@@ -243,15 +209,14 @@ impl Oodb {
         // transport. If a loopback connection fails mid-start, the `?`
         // drops the listener, whose shutdown closes every connection made
         // so far; their readers see the socket die and exit.
-        let n_workers = core.worker_txs.len();
         let tcp = match config.transport {
             TransportKind::Channel => {
                 for i in 0..config.n_clients {
                     let id = ClientId(i);
-                    let worker_tx = core.worker_txs[usize::from(i) % n_workers].clone();
-                    let shared =
-                        ClientShared::new(id, params, Box::new(ChannelSink::new(id, worker_tx)));
-                    // The runtime is its own port: the server thread that
+                    let server = Arc::downgrade(&core.runtime);
+                    let sink = ChannelSink::new(id, server);
+                    let shared = ClientShared::new(id, params, Box::new(sink));
+                    // The runtime is its own port: the thread that
                     // delivers runs it.
                     let port: Arc<dyn ClientPort> = match config.chaos {
                         // Fault injection: deliveries pass through a
@@ -273,8 +238,7 @@ impl Oodb {
                 let server = TcpServer::bind(
                     ("127.0.0.1", 0),
                     WelcomeInfo::from_config(&config),
-                    core.worker_txs.clone(),
-                    core.runtime.ports().clone(),
+                    core.runtime.clone(),
                 )?;
                 let addr = server.local_addr();
                 for i in 0..config.n_clients {
@@ -350,17 +314,17 @@ impl Oodb {
         self.core.runtime.kick_log_writer();
     }
 
-    /// Stops all threads, flushing state first.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
+    /// Stops all threads, flushing state first (as dropping it does).
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_inner(&mut self) {
+impl Drop for Oodb {
+    fn drop(&mut self) {
         let _ = self.checkpoint();
         // Clients first (each closes its runtime and says goodbye through
         // its sink, so a `Session` still around fails with `Closed`; over
         // TCP the goodbye also ends the client's reader), then the
-        // transport, then the pipeline.
+        // transport, then the pipeline, which refuses any later request.
         for client in &self.clients {
             client.shutdown();
         }
@@ -374,10 +338,28 @@ impl Oodb {
     }
 }
 
-impl Drop for Oodb {
-    fn drop(&mut self) {
-        if !self.core.is_shut_down() {
-            self.shutdown_inner();
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fgs_core::{Oid, PageId};
+
+    /// A client's outbox refers to its server weakly — the server owns
+    /// its clients' ports — so dropping the engine frees the whole
+    /// server (store, pool, log) even while a `Session` lives on.
+    #[test]
+    fn dropping_the_engine_frees_the_server() {
+        let db = Oodb::open(EngineConfig {
+            transport: TransportKind::Channel,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let session = db.session(0);
+        session
+            .run_txn(0, |t| t.read(Oid::new(PageId(1), 0)))
+            .unwrap();
+        let server = Arc::downgrade(&db.core.runtime);
+        drop(db);
+        assert!(server.upgrade().is_none(), "the server outlived its engine");
+        assert_eq!(session.begin(), Err(TxnError::Closed));
     }
 }

@@ -33,8 +33,8 @@ pub struct ServerHandle {
 /// an ephemeral port — read it back via [`ServerHandle::local_addr`]).
 ///
 /// Up to [`EngineConfig::n_clients`] clients may be connected at once;
-/// ids are assigned (or validated) at handshake and shard over the
-/// worker pool exactly as embedded clients do.
+/// ids are assigned (or validated) at handshake, and each connection's
+/// server-side reader runs its requests.
 /// [`EngineConfig::transport`] is ignored — this server *is* the TCP
 /// transport.
 pub fn serve_tcp(config: EngineConfig, addr: impl ToSocketAddrs) -> std::io::Result<ServerHandle> {
@@ -56,12 +56,11 @@ pub fn serve_tcp_with_disk(
     if init {
         store.init_objects(config.db_pages, config.objects_per_page, config.object_size)?;
     }
-    let core = ServerCore::start(&config, store, config.n_clients);
+    let core = ServerCore::start(&config, store);
     let tcp = TcpServer::bind(
         addr,
         WelcomeInfo::from_config(&config),
-        core.worker_txs.clone(),
-        core.runtime.ports().clone(),
+        core.runtime.clone(),
     )?;
     Ok(ServerHandle {
         config,
@@ -83,12 +82,11 @@ pub fn serve_tcp_recover(
     config.validate();
     let (store, report) =
         Store::recover(disk, log_bytes, config.server_pool_pages, config.db_pages)?;
-    let core = ServerCore::start(&config, store, config.n_clients);
+    let core = ServerCore::start(&config, store);
     let tcp = TcpServer::bind(
         addr,
         WelcomeInfo::from_config(&config),
-        core.worker_txs.clone(),
-        core.runtime.ports().clone(),
+        core.runtime.clone(),
     )?;
     Ok((
         ServerHandle {
@@ -151,25 +149,18 @@ impl ServerHandle {
         self.core.runtime.kick_log_writer();
     }
 
-    /// Checkpoints, disconnects every client, and stops the pipeline.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
+    /// Checkpoints, disconnects every client, and stops the pipeline (as
+    /// dropping it does).
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_inner(&mut self) {
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
         let _ = self.core.checkpoint();
         if let Some(mut tcp) = self.tcp.take() {
             tcp.shutdown();
         }
         self.core.shutdown();
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        if !self.core.is_shut_down() {
-            self.shutdown_inner();
-        }
     }
 }
 

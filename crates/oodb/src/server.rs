@@ -1,17 +1,19 @@
-//! The server runtime: a sharded, pipelined request path over the
+//! The server runtime: a run-to-completion request path over the
 //! protocol engine and the logged page store.
 //!
 //! The old runtime was one thread holding one big mutex across the whole
 //! request path (durability, protocol, data attach, send). This one
 //! splits the path into stages with independent synchronization:
 //!
-//! * **Workers** — `server_workers` threads, each owning a shard of the
-//!   clients (`client % workers`), so one client's requests stay FIFO
-//!   while different clients proceed concurrently. A worker carries its
-//!   batch through every stage below, delivery included.
+//! * **Runs** — whoever produces a batch of one client's requests carries
+//!   it through every stage below, delivery included, on its own thread
+//!   ([`Serve::serve`]): the client's caller or deliverer on the channel
+//!   transport, the connection's reader over TCP. One producer at a time
+//!   per client keeps its requests FIFO; different clients run
+//!   concurrently.
 //! * **Durability (append)** — commit data is installed into the store
 //!   and the commit records *appended* before the engine releases locks;
-//!   the worker registers the batch's watermark with the [`LogWriter`]
+//!   the run registers the batch's watermark with the [`LogWriter`]
 //!   and moves on without waiting for the force. Early lock release is
 //!   safe under the WAL rule: any transaction that reads the released
 //!   state appends its own commit record *after* these, so its ack
@@ -29,11 +31,12 @@
 //!   the written image ([`fgs_pagestore::Wal`]'s stepwise API), each
 //!   cycle coalescing every commit appended since the last one. This
 //!   subsumes the old group-commit gather: batching now comes from the
-//!   writer's natural cycle time instead of timed waits in the workers.
+//!   writer's natural cycle time instead of timed waits on the request
+//!   path.
 //! * **Completion** — the [`CompletionRouter`] restores the engine's
-//!   order and delivers. A worker submits its stamped batch; the batch
+//!   order and delivers. A run submits its stamped batch; the batch
 //!   waits until every lower sequence number has been submitted, then
-//!   joins its clients' queues and goes out on the submitting worker's
+//!   joins its clients' queues and goes out on the submitting run's
 //!   thread, so every client observes the engine's order even though
 //!   attaches finish out of order. Each commit ack is held until the
 //!   writer's durable watermark passes its LSN, then emitted as
@@ -41,28 +44,30 @@
 //!   the same client, so the engine's per-client order survives the
 //!   deferral.
 
-use crate::transport::PortMap;
+use crate::transport::{PortMap, Serve};
 use crate::wire::{SharedBytes, ToClient, ToServer};
-use crossbeam::channel::Receiver;
 use fgs_core::server::{ServerAction, ServerEngine, ServerStats};
 use fgs_core::sync::{Condvar, Mutex};
 use fgs_core::{AbortReason, ClientId, DataGrant, Oid, PageId, Request, ServerMsg, TxnId};
 use fgs_pagestore::{Lsn, Store, StoreStats};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Hard cap on how many queued messages a worker drains into one batch
-/// (one protocol-lock acquisition, one sequence number, one invariant
+/// Hard cap on how many queued requests one run takes (one
+/// protocol-lock acquisition, one sequence number, one invariant
 /// sample). Bounds both latency and the size of a submitted batch.
-const DISPATCH_BATCH: usize = 64;
+pub(crate) const DISPATCH_BATCH: usize = 64;
 
-/// Backpressure cap on the WAL's active append buffer. A worker blocks
+/// Backpressure cap on the WAL's active append buffer. A run blocks
 /// appending only when the active buffer holds this much *and* the
 /// sealed shadow segment is still being written — i.e. the log device
 /// is more than two full buffers behind the workload.
 const APPEND_CAP: usize = 1 << 20;
+
+/// The bit of [`ServerRuntime::runs`] that marks the server closed.
+const CLOSED: usize = 1 << (usize::BITS - 1);
 
 /// The protocol stage: the engine plus the global send-order sequence.
 /// Everything in here is touched only under the one (small) mutex.
@@ -92,13 +97,36 @@ pub(crate) enum OutMsg {
     },
 }
 
-/// A lock-free log₂-bucketed latency histogram (nanosecond samples).
-/// Bucket `i` of the 48 holds samples in [2^i, 2^(i+1)) ns (the last one
-/// everything longer), so a quantile is known to within a factor of two;
-/// recording is one relaxed fetch_add, so the hot path pays no
-/// synchronization.
+/// [`LatencyHistogram`] has 2^`SUB_BITS` buckets per octave: exact below
+/// 8 ns, then eight per power of two up to 2^48 ns (≈ 78 hours; the last
+/// bucket also takes everything longer).
+const SUB_BITS: u32 = 3;
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
+const LATENCY_BUCKETS: usize = SUB_BUCKETS * (48 - SUB_BITS as usize + 1);
+
+/// The bucket of an `ns` sample: its octave, split by the three bits
+/// below the leading one (the indices run on from the exact range).
+fn latency_bucket(ns: u64) -> usize {
+    if ns < SUB_BUCKETS as u64 {
+        return ns as usize;
+    }
+    let shift = 63 - ns.leading_zeros() - SUB_BITS;
+    (shift as usize * SUB_BUCKETS + (ns >> shift) as usize).min(LATENCY_BUCKETS - 1)
+}
+
+/// The lowest sample of bucket `idx` and the bucket's width, in ns.
+fn latency_bucket_span(idx: usize) -> (u64, u64) {
+    let shift = (idx / SUB_BUCKETS).saturating_sub(1);
+    let sub = idx.min(SUB_BUCKETS + idx % SUB_BUCKETS);
+    ((sub as u64) << shift, 1 << shift)
+}
+
+/// A lock-free log-linear latency histogram (nanosecond samples): a
+/// quantile is known to within 1/8 of its octave (about 1 µs around
+/// 12 µs, where power-of-two buckets spanned 8–16); recording is one
+/// relaxed fetch_add, so the hot path pays no synchronization.
 struct LatencyHistogram {
-    buckets: [AtomicU64; 48],
+    buckets: [AtomicU64; LATENCY_BUCKETS],
 }
 
 impl LatencyHistogram {
@@ -109,8 +137,7 @@ impl LatencyHistogram {
     }
 
     fn record(&self, ns: u64) {
-        let idx = (64 - ns.max(1).leading_zeros() as usize - 1).min(self.buckets.len() - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[latency_bucket(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     fn samples(&self) -> u64 {
@@ -118,8 +145,7 @@ impl LatencyHistogram {
     }
 
     /// The `q`-quantile (0..=1) as microseconds, estimated at the
-    /// arithmetic midpoint (1.5 · 2^idx ns) of the winning bucket. Zero
-    /// with no samples.
+    /// midpoint of the winning bucket. Zero with no samples.
     fn quantile_us(&self, q: f64) -> u64 {
         let total = self.samples();
         if total == 0 {
@@ -130,9 +156,8 @@ impl LatencyHistogram {
         for (idx, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
-                // Bucket idx holds samples in [2^idx, 2^(idx+1)) ns.
-                let mid_ns = (1u64 << idx) + (1u64 << idx) / 2;
-                return mid_ns / 1_000;
+                let (low, width) = latency_bucket_span(idx);
+                return (low + width / 2) / 1_000;
             }
         }
         0
@@ -179,11 +204,6 @@ impl PipelineMetrics {
         counter.fetch_add(v, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_send_batch(&self, msgs: usize) {
-        Self::add(&self.send_batches, 1);
-        Self::add(&self.send_batch_msgs, msgs as u64);
-    }
-
     /// Copies the pipeline counters into a store snapshot.
     fn fill(&self, stats: &mut StoreStats) {
         stats.durability_ns = self.durability_ns.load(Ordering::Relaxed);
@@ -203,8 +223,8 @@ impl PipelineMetrics {
     }
 }
 
-/// Hand-off from the dispatch workers to the dedicated log-writer
-/// thread. Workers append commit records and *register* the batch here
+/// Hand-off from the request runs to the dedicated log-writer thread.
+/// Runs append commit records and *register* the batch here
 /// (one lock poke, no waiting); the writer wakes, runs one
 /// seal → write → force cycle over everything registered since its last
 /// cycle, and advances the completion router's durable watermark.
@@ -217,12 +237,13 @@ pub(crate) struct LogWriter {
 /// lock DAG: the writer descends from here into `WalInner` and the
 /// completion router).
 struct LogWriterState {
-    /// Highest watermark any worker has asked to become durable (the
+    /// Highest watermark any run has asked to become durable (the
     /// requesting batch's WAL tail).
     requested: Lsn,
     /// Commits appended but not yet accounted durable.
     pending_commits: u64,
-    /// Shut down after the next (final) cycle.
+    /// The server is closed: shut down after the final cycle, which
+    /// waits for the runs in flight.
     stop: bool,
     /// Run one cycle even with nothing registered. Set when a chaos
     /// [`WalHold`](fgs_pagestore::WalHold) changes: turns under a hold
@@ -244,27 +265,13 @@ impl LogWriter {
         }
     }
 
-    /// Worker side: registers a batch of `commits` appended commit
+    /// Run side: registers a batch of `commits` appended commit
     /// records whose durability watermark is `ack_lsn`, and returns
     /// immediately — the force happens on the writer thread.
     fn request(&self, ack_lsn: Lsn, commits: u64) {
         let mut g = self.state.lock();
         g.requested = g.requested.max(ack_lsn);
         g.pending_commits += commits;
-        self.cv.notify_one();
-    }
-
-    /// Forces one writer cycle regardless of registered work.
-    fn kick(&self) {
-        let mut g = self.state.lock();
-        g.kicked = true;
-        self.cv.notify_one();
-    }
-
-    /// Asks the writer thread to run one final cycle and exit.
-    pub(crate) fn stop(&self) {
-        let mut g = self.state.lock();
-        g.stop = true;
         self.cv.notify_one();
     }
 }
@@ -294,12 +301,12 @@ struct CompletionState {
 }
 
 /// The completion stage: the one place outbound messages are ordered.
-/// Workers submit batches stamped with the sequence number taken under
+/// Runs submit batches stamped with the sequence number taken under
 /// [`ProtocolStage`]; a batch joins the per-client queues only once
 /// every lower number has, so each client sees messages in the engine's
 /// order. `CommitDone` for a registered ack is emitted only once the log
 /// writer's durable watermark passes the ack's LSN, preserving the WAL
-/// rule without parking any worker. Envelopes that arrive behind a
+/// rule without parking any run. Envelopes that arrive behind a
 /// pending ack wait with it (per-client order); clients with nothing
 /// pending pass straight through to delivery.
 ///
@@ -323,12 +330,12 @@ impl CompletionRouter {
         }
     }
 
-    /// Worker side: submits the batch stamped `seq` (possibly empty) and,
+    /// Run side: submits the batch stamped `seq` (possibly empty) and,
     /// if it is next in engine order, moves it and every consecutive
     /// held batch into the per-client queues, then delivers every client
     /// touched on the calling thread. A batch that is not yet next stays
-    /// held; the worker that submits the missing sequence number
-    /// delivers it. Each sequence number must be submitted exactly once.
+    /// held; the run that submits the missing sequence number delivers
+    /// it. Each sequence number must be submitted exactly once.
     pub(crate) fn submit_batch(
         &self,
         seq: u64,
@@ -451,7 +458,8 @@ impl CompletionRouter {
             if run.is_empty() {
                 return;
             }
-            metrics.note_send_batch(run.len());
+            PipelineMetrics::add(&metrics.send_batches, 1);
+            PipelineMetrics::add(&metrics.send_batch_msgs, run.len() as u64);
             // No port, or a dead one, means the client is gone (shutdown
             // race or dropped connection); drop the messages. An ack for
             // a reconnected successor is filtered client-side by the
@@ -466,8 +474,8 @@ impl CompletionRouter {
     }
 }
 
-/// State shared between the worker pool, the log writer, the transports
-/// and the introspection APIs.
+/// State shared between the request runs, the log writer, the
+/// transports and the introspection APIs.
 pub(crate) struct ServerRuntime {
     protocol: Mutex<ProtocolStage>,
     store: Store,
@@ -477,6 +485,8 @@ pub(crate) struct ServerRuntime {
     /// and go without the pipeline noticing.
     ports: Arc<PortMap>,
     metrics: PipelineMetrics,
+    /// Runs in flight, plus [`CLOSED`] once the server is closed.
+    runs: AtomicUsize,
     /// Run engine invariant checks after every batch even in release.
     paranoid: bool,
 }
@@ -507,6 +517,7 @@ impl ServerRuntime {
             completion: CompletionRouter::new(),
             ports: Arc::new(PortMap::new(port_limit)),
             metrics: PipelineMetrics::new(),
+            runs: AtomicUsize::new(0),
             paranoid,
         }
     }
@@ -538,7 +549,7 @@ impl ServerRuntime {
 
     // -- the log-writer stage -------------------------------------------
 
-    /// One turn of the log-writer thread: parks until workers register
+    /// One turn of the log-writer thread: parks until runs register
     /// appended commits, then runs one seal → write → force cycle over
     /// everything registered since the last turn (the double-buffered
     /// WAL tail lets appends continue meanwhile) and accounts the
@@ -557,6 +568,11 @@ impl ServerRuntime {
         let (target, commits, stop) = {
             let mut g = self.writer.state.lock();
             while !g.stop && !g.kicked && g.requested <= *handled && g.pending_commits == 0 {
+                self.writer.cv.wait(&mut g);
+            }
+            // The final cycle covers every run the closed server admitted;
+            // the last one out kicks.
+            while g.stop && self.runs.load(Ordering::Acquire) != CLOSED {
                 self.writer.cv.wait(&mut g);
             }
             g.kicked = false;
@@ -587,73 +603,42 @@ impl ServerRuntime {
         (durable, stop)
     }
 
-    /// Stops the log-writer thread after a final catch-up cycle (the
-    /// embedding joins the thread afterwards).
-    pub(crate) fn stop_log_writer(&self) {
-        self.writer.stop();
+    /// Closes the server: every later run is refused, and the log-writer
+    /// thread, once the runs in flight finish, takes a final catch-up
+    /// cycle and exits (the embedding joins it afterwards).
+    pub(crate) fn close(&self) {
+        self.runs.fetch_or(CLOSED, Ordering::AcqRel);
+        self.writer.state.lock().stop = true;
+        self.writer.cv.notify_one();
     }
 
     /// Forces one writer cycle regardless of registered work — the
     /// chaos harness calls this when it changes the WAL hold, so the
     /// writer re-drains (releasing parked acks) once a hold lifts.
     pub(crate) fn kick_log_writer(&self) {
-        self.writer.kick();
+        self.writer.state.lock().kicked = true;
+        self.writer.cv.notify_one();
     }
 
     // -- the request pipeline -----------------------------------------
 
-    /// One worker's loop: requests from this worker's client shard, in
-    /// order, until shutdown.
+    /// Runs one batch of one client's requests through the pipeline
+    /// stages on the calling thread.
     ///
-    /// The worker drains everything already queued (bounded by
-    /// [`DISPATCH_BATCH`]) into one batch per iteration: the whole batch
-    /// shares one durability pre-pass, one protocol-lock acquisition,
-    /// one sequence number and one invariant sample. Per-connection FIFO
-    /// is preserved — a shard owns its clients, drain order is queue
-    /// order, and the protocol stage replays that order under the lock.
-    pub(crate) fn worker_loop(&self, rx: Receiver<ToServer>) {
-        let mut batch: Vec<ToServer> = Vec::with_capacity(DISPATCH_BATCH);
-        while let Ok(env) = rx.recv() {
-            batch.push(env);
-            while batch.len() < DISPATCH_BATCH {
-                match rx.try_recv() {
-                    Ok(env) => batch.push(env),
-                    Err(_) => break,
-                }
-            }
-            // Process everything queued ahead of a shutdown notice, then
-            // stop (messages behind it would have been dropped by the
-            // old one-at-a-time loop too).
-            let stop = match batch.iter().position(|e| matches!(e, ToServer::Shutdown)) {
-                Some(pos) => {
-                    batch.truncate(pos);
-                    true
-                }
-                None => false,
-            };
-            if !batch.is_empty() {
-                self.handle_batch(&mut batch);
-            }
-            if stop {
-                break;
-            }
-        }
-    }
-
-    /// Runs one drained inbound batch through the pipeline stages.
-    ///
-    /// Durability first — but only the *append* half: every commit's
-    /// updates are installed and its commit record appended before the
-    /// engine releases any lock, then the batch's watermark (the WAL
-    /// tail, covering the appended records *and* everything any
+    /// The whole batch shares one durability pre-pass, one
+    /// protocol-lock acquisition, one sequence number and one invariant
+    /// sample. Durability first — but only the *append* half: every
+    /// commit's updates are installed and its commit record appended
+    /// before the engine releases any lock, then the batch's watermark
+    /// (the WAL tail, covering the appended records *and* everything any
     /// read-only commit in the batch could have read) is registered
-    /// with the log writer. The worker never waits for the force; the
+    /// with the log writer. The run never waits for the force; the
     /// acks are parked in the completion router until the writer's
     /// durable watermark passes the registered LSN. Then the protocol
     /// stage replays the batch in arrival order under a single lock
     /// hold, and the dispatch stage attaches payloads outside it and
     /// submits the batch for delivery.
-    fn handle_batch(&self, batch: &mut Vec<ToServer>) {
+    fn handle_batch(&self, batch: Vec<ToServer>) {
         let t_start = Instant::now();
         PipelineMetrics::add(&self.metrics.dispatch_batches, 1);
         PipelineMetrics::add(&self.metrics.dispatch_batch_msgs, batch.len() as u64);
@@ -662,10 +647,8 @@ impl ServerRuntime {
         let mut steps: Vec<Step> = Vec::with_capacity(batch.len());
         let mut commits = 0u64;
         let mut data_commits = 0u64;
-        for env in batch.drain(..) {
+        for env in batch {
             match env {
-                // Cut in `worker_loop`; nothing to do if one slips past.
-                ToServer::Shutdown => {}
                 ToServer::Disconnect { from } => steps.push(Step::Gone(from)),
                 ToServer::Req {
                     from,
@@ -905,6 +888,28 @@ impl ServerRuntime {
     }
 }
 
+/// A run may deliver to clients that answer with requests of their own,
+/// which this thread then runs too; the nesting is bounded by the client
+/// count, as a client's outbox has one server at a time. The log writer
+/// runs the replies its deliveries produce this way without ever
+/// blocking on itself: an append waits only for a sealed segment with no
+/// [`WalHold`](fgs_pagestore::WalHold), which only the writer's own
+/// seal → write step leaves, and it delivers after that step.
+impl Serve for ServerRuntime {
+    fn serve(&self, batch: Vec<ToServer>) -> bool {
+        let admitted = self.runs.fetch_add(1, Ordering::AcqRel) & CLOSED == 0;
+        if admitted {
+            self.handle_batch(batch);
+        }
+        if self.runs.fetch_sub(1, Ordering::AcqRel) == CLOSED | 1 {
+            // The last run out of a closed server: the writer's final
+            // cycle may go.
+            self.kick_log_writer();
+        }
+        admitted
+    }
+}
+
 /// Retries a storage operation through bounded transient faults. The
 /// fault-injecting disk guarantees a bounded number of induced errors, so
 /// a handful of retries separates "the disk hiccuped" from "the disk is
@@ -925,9 +930,9 @@ fn retry_io<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T>
 /// turn coalesces every commit registered since the last one into a
 /// single seal → write → force cycle, then advances the completion
 /// router's durable watermark — releasing parked commit acks through
-/// the normal delivery path. Runs until [`LogWriter::stop`], finishing
-/// with one final cycle so every registered commit is durable and acked
-/// before exit.
+/// the normal delivery path. Runs until [`ServerRuntime::close`],
+/// finishing with one final cycle so every registered commit is durable
+/// and acked before exit.
 pub(crate) fn log_writer_loop(runtime: &ServerRuntime) {
     let mut handled: Lsn = 0;
     let mut carried: u64 = 0;
@@ -1063,6 +1068,32 @@ mod tests {
         assert_eq!(rig.seen(1), vec![commit_done(1), done(1, 2)]);
         assert_eq!(rig.metrics.deferred_acks.load(Ordering::Relaxed), 1);
     }
+
+    /// 1 µs, 2 µs, …, 1000 µs: the exact p50 is 500 µs and the p99
+    /// 990 µs. Each estimate must land within one sub-bucket of the
+    /// truth; the old power-of-two buckets put the p50 at 393 µs.
+    #[test]
+    fn latency_quantiles_land_within_one_sub_bucket() {
+        let h = LatencyHistogram::new();
+        for us in 1..=1000u64 {
+            h.record(us * 1_000);
+        }
+        for (q, exact_us) in [(0.50, 500u64), (0.99, 990)] {
+            let (_, width_ns) = latency_bucket_span(latency_bucket(exact_us * 1_000));
+            let got = h.quantile_us(q);
+            assert!(
+                got.abs_diff(exact_us) * 1_000 <= width_ns,
+                "p{q}: {got} µs, exact {exact_us} µs, sub-bucket {width_ns} ns"
+            );
+        }
+        // The buckets tile the range: each starts where the last ended.
+        for idx in 1..LATENCY_BUCKETS {
+            let (low, _) = latency_bucket_span(idx);
+            let (prev_low, prev_width) = latency_bucket_span(idx - 1);
+            assert_eq!(low, prev_low + prev_width, "bucket {idx}");
+            assert_eq!(latency_bucket(low), idx);
+        }
+    }
 }
 
 /// Model checking for the asynchronous durability pipeline, run only
@@ -1136,7 +1167,7 @@ mod loom_tests {
     }
 
     /// Appends `txn`'s commit record and returns its ack, registered
-    /// with the checking port and the writer as a worker would.
+    /// with the checking port and the writer as a run would.
     fn append_ack(rt: &ServerRuntime, port: &AckCheckPort, txn: TxnId) -> OutMsg {
         rt.store().begin(txn);
         rt.store().append_commit(txn);
@@ -1180,7 +1211,7 @@ mod loom_tests {
         for t in committers {
             t.join().unwrap();
         }
-        rt.stop_log_writer();
+        rt.close();
         writer.join().unwrap();
         let delivered = port.delivered.lock();
         assert_eq!(delivered.len(), usize::from(n), "every ack delivered");
@@ -1207,7 +1238,7 @@ mod loom_tests {
         loom::model(|| run_pipeline(1));
     }
 
-    /// Two workers submit seq 0 (an envelope, then an ack) and seq 1 (an
+    /// Two runs submit seq 0 (an envelope, then an ack) and seq 1 (an
     /// envelope) to the same client concurrently while the writer
     /// advances the watermark. Whichever submit lands first and
     /// whichever thread ends up delivering, the client must see all
@@ -1238,7 +1269,7 @@ mod loom_tests {
             let first = submit(0, vec![OutMsg::Env(env(1)), ack]);
             first.join().unwrap();
             second.join().unwrap();
-            rt.stop_log_writer();
+            rt.close();
             writer.join().unwrap();
             let seen: Vec<u64> = port
                 .delivered

@@ -1,52 +1,74 @@
 //! The in-process channel transport, the embedded engine's default wire.
 //!
-//! Requests go straight into the owning worker shard's queue. The other
-//! half has no transport code at all: the client runtime is itself the
-//! port the server delivers to, so the delivering thread runs it.
-//! Payload [`SharedBytes`](crate::wire::SharedBytes) `Arc`s are cloned,
-//! never serialized — the zero-copy fan-out path.
+//! Requests queue in the client's outbox, inside its locked state, and
+//! the thread that queued them — the caller for its misses and commits, a
+//! deliverer for the callback replies its delivery produced — runs them
+//! through the server once it has dropped the lock. The other half has
+//! no transport code at all: the client runtime is itself the port the
+//! server delivers to, so the delivering thread runs it. Payload
+//! [`SharedBytes`](crate::wire::SharedBytes) `Arc`s are cloned, never
+//! serialized — the zero-copy fan-out path.
 
-use super::RequestSink;
+use super::{RequestSink, Run, Serve};
 use crate::error::TxnError;
+use crate::server::DISPATCH_BATCH;
 use crate::wire::ToServer;
-use crossbeam::channel::Sender;
 use fgs_core::{ClientId, Oid, Request};
+use std::collections::VecDeque;
+use std::sync::Weak;
 
-/// Client→server over the worker shard's channel.
+/// Client→server through the client's outbox.
 pub(crate) struct ChannelSink {
     from: ClientId,
-    worker_tx: Sender<ToServer>,
+    server: Weak<dyn Serve>,
+    outbox: VecDeque<ToServer>,
+    /// A thread is serving the outbox; others leave what they queue to
+    /// it, so a client's requests run one batch at a time, in order.
+    serving: bool,
 }
 
 impl ChannelSink {
-    pub(crate) fn new(from: ClientId, worker_tx: Sender<ToServer>) -> ChannelSink {
-        ChannelSink { from, worker_tx }
+    pub(crate) fn new(from: ClientId, server: Weak<dyn Serve>) -> ChannelSink {
+        ChannelSink {
+            from,
+            server,
+            outbox: VecDeque::new(),
+            serving: false,
+        }
     }
 }
 
 impl RequestSink for ChannelSink {
     fn send_request(
-        &self,
+        &mut self,
         from: ClientId,
         req: Request,
         commit_data: Vec<(Oid, Vec<u8>)>,
     ) -> Result<(), TxnError> {
-        self.worker_tx
-            .send(ToServer::Req {
-                from,
-                req,
-                commit_data,
-            })
-            .map_err(|_| TxnError::Server)
+        self.outbox.push_back(ToServer::Req {
+            from,
+            req,
+            commit_data,
+        });
+        Ok(())
     }
 
     /// Tells the engine the client is gone, as a dying TCP connection
-    /// does. It travels the request channel, so it lands after every
-    /// request the runtime sent — a notice from any other thread could be
-    /// overtaken by a request the runtime was still sending.
-    fn close(&self) {
-        let _ = self
-            .worker_tx
-            .send(ToServer::Disconnect { from: self.from });
+    /// does, queued behind every request the runtime sent.
+    fn close(&mut self) {
+        self.outbox
+            .push_back(ToServer::Disconnect { from: self.from });
+    }
+
+    fn claim_run(&mut self, resume: bool) -> Option<Run> {
+        if self.serving && !resume {
+            return None;
+        }
+        self.serving = !self.outbox.is_empty();
+        if !self.serving {
+            return None;
+        }
+        let n = self.outbox.len().min(DISPATCH_BATCH);
+        Some((self.server.clone(), self.outbox.drain(..n).collect()))
     }
 }

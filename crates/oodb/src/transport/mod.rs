@@ -2,15 +2,16 @@
 //! exchange [`wire`](crate::wire) envelopes.
 //!
 //! The protocol engines and the server pipeline are transport-blind; they
-//! speak through two narrow traits. [`RequestSink`] is the client→server
-//! half (a runtime pushes requests into it), and [`ClientPort`] is the
-//! server→client half (the completion router delivers engine-ordered
-//! envelopes through it). Two backends implement them:
+//! speak through narrow traits. [`RequestSink`] is the client→server
+//! half (a runtime pushes requests into it; the producer then runs them
+//! through [`Serve`]), and [`ClientPort`] is the server→client half (the
+//! completion router delivers engine-ordered envelopes through it). Two
+//! backends implement them:
 //!
-//! * [`channel`] — the embedded default: requests travel a crossbeam
-//!   channel, and the client runtime is itself the port, so the server
-//!   thread that delivers runs the client. Payload `Arc`s move through
-//!   memory untouched (zero-copy fan-out).
+//! * [`channel`] — the embedded default: the thread that queued a request
+//!   serves it, and the client runtime is itself the port, so the thread
+//!   that delivers runs the client. Payload `Arc`s move through memory
+//!   untouched (zero-copy fan-out).
 //! * [`tcp`] — real sockets framed by [`crate::codec`], used by the
 //!   `fgs-serverd` binary and [`crate::RemoteClient`], and by the
 //!   embedded engine when [`TransportKind::Tcp`] is configured (every
@@ -25,16 +26,17 @@ pub(crate) mod channel;
 pub(crate) mod tcp;
 
 use crate::error::TxnError;
-use crate::wire::ToClient;
+use crate::wire::{ToClient, ToServer};
 use fgs_core::sync::Mutex;
 use fgs_core::{ClientId, Oid, Protocol, Request};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Which transport the embedded engine wires its clients over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process crossbeam channels (zero-copy, the default).
+    /// In process: a client runs its own requests through the server
+    /// (zero-copy, the default).
     Channel,
     /// Loopback TCP: every client runtime talks to the server through a
     /// real socket and the binary frame codec, exercising the full wire
@@ -85,13 +87,14 @@ impl ClientParams {
     }
 }
 
-/// The client→server half of a transport. A send failure means the
-/// connection is gone; the runtime fails its pending call with
-/// [`TxnError::Server`] and every later call the same way.
+/// The client→server half of a transport, called under the client's
+/// lock. A send failure means the connection is gone; the runtime fails
+/// its pending call with [`TxnError::Server`] and every later call the
+/// same way.
 pub(crate) trait RequestSink: Send {
     /// Ships one protocol request (commits carry their dirty bytes).
     fn send_request(
-        &self,
+        &mut self,
         from: ClientId,
         req: Request,
         commit_data: Vec<(Oid, Vec<u8>)>,
@@ -99,8 +102,27 @@ pub(crate) trait RequestSink: Send {
 
     /// Says goodbye when the runtime closes or loses the server
     /// (idempotent).
-    fn close(&self) {}
+    fn close(&mut self) {}
+
+    /// An in-process sink only queues: the thread that queued claims the
+    /// requests here, under the lock, to serve once unlocked. `None` when
+    /// nothing is queued or another thread is serving them (it takes the
+    /// new ones too); `resume` is that thread asking for more.
+    fn claim_run(&mut self, _resume: bool) -> Option<Run> {
+        None
+    }
 }
+
+/// The server end: runs a batch of one client's requests through the
+/// whole pipeline, delivery included, on the calling thread, which holds
+/// no lock. `false`: the server is closed and ran nothing.
+pub(crate) trait Serve: Send + Sync {
+    fn serve(&self, batch: Vec<ToServer>) -> bool;
+}
+
+/// Claimed requests and the server to run them on — by weak reference,
+/// as the server owns its clients' ports; a server that is gone is closed.
+pub(crate) type Run = (Weak<dyn Serve>, Vec<ToServer>);
 
 /// The server→client half of a transport: the completion router
 /// delivers engine-ordered envelopes through it, and a TCP client's
@@ -148,7 +170,7 @@ struct PortTable {
 /// blocked socket never stalls registration or other clients' lookups.
 pub(crate) struct PortMap {
     table: Mutex<PortTable>,
-    /// Client ids must stay below this (they shard over server workers).
+    /// Client ids must stay below this (the configured client count).
     limit: u16,
 }
 

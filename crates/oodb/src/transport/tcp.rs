@@ -5,25 +5,27 @@
 //! the frame-format version and binds a client id; the `Welcome` carries
 //! the engine parameters, so a [`RemoteClient`](crate::RemoteClient)
 //! needs no local configuration. After the handshake each side runs one
-//! dedicated reader thread (the client's runs the client runtime for
-//! every envelope it reads); writes are serialized by a small mutex around
-//! the write half ([`ConnWriter`] in the lock-order DAG, DESIGN.md §10).
+//! dedicated reader thread: the client's runs the client runtime for
+//! every envelope it reads, the server's runs every request it reads
+//! through the server pipeline. Writes are serialized by a small mutex
+//! around the write half ([`ConnWriter`] in the lock-order DAG,
+//! DESIGN.md §10).
 //!
 //! Timeouts: the handshake read is bounded (a dead or hostile peer cannot
 //! park a connection thread), and every write is bounded (a stalled peer
-//! marks the connection dead instead of wedging the server worker
-//! delivering to it). Steady-state reads are *unbounded* by design — a
+//! marks the connection dead instead of wedging the thread delivering to
+//! it). Steady-state reads are *unbounded* by design — a
 //! client legitimately blocks for as long as a lock conflict lasts;
 //! liveness there is the deadlock
 //! detector's job, not the socket's. Dead connections surface to the
 //! application as [`TxnError::Server`](crate::TxnError::Server).
 
-use super::{ClientParams, ClientPort, PortMap, RequestSink};
+use super::{ClientParams, ClientPort, PortMap, RequestSink, Serve};
 use crate::chaos::{ChaosConfig, ChaosPort};
 use crate::codec::{read_frame, BatchEncoder, Frame, PROTOCOL_VERSION};
 use crate::error::TxnError;
+use crate::server::ServerRuntime;
 use crate::wire::{ToClient, ToServer};
-use crossbeam::channel::Sender;
 use fgs_core::sync::Mutex;
 use fgs_core::{ClientId, Oid, Protocol, Request};
 use std::io::{self, IoSlice, Write};
@@ -248,8 +250,9 @@ impl ClientPort for TcpPort {
 }
 
 /// The listening side: an accept thread spawning one reader thread per
-/// connection. Connections register in the shared [`PortMap`] at
-/// handshake, so the server pipeline reaches them like any other port.
+/// connection, which runs the connection's requests. Connections
+/// register in the shared [`PortMap`] at handshake, so the server
+/// pipeline reaches them like any other port.
 pub(crate) struct TcpServer {
     local: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -258,24 +261,21 @@ pub(crate) struct TcpServer {
 }
 
 impl TcpServer {
-    /// Binds `addr` and starts accepting. `worker_txs` are the engine's
-    /// request shards (requests route by `client % workers`, same as the
-    /// channel transport).
+    /// Binds `addr` and starts accepting clients of `server`.
     pub(crate) fn bind(
         addr: impl ToSocketAddrs,
         welcome: WelcomeInfo,
-        worker_txs: Vec<Sender<ToServer>>,
-        ports: Arc<PortMap>,
+        server: Arc<ServerRuntime>,
     ) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
+        let ports = server.ports().clone();
         let accept = {
             let stop = stop.clone();
-            let ports = ports.clone();
             std::thread::Builder::new()
                 .name("fgs-accept".into())
-                .spawn(move || accept_loop(listener, welcome, worker_txs, ports, stop))
+                .spawn(move || accept_loop(listener, welcome, server, stop))
                 .expect("spawn acceptor")
         };
         Ok(TcpServer {
@@ -315,8 +315,7 @@ impl Drop for TcpServer {
 fn accept_loop(
     listener: TcpListener,
     welcome: WelcomeInfo,
-    worker_txs: Vec<Sender<ToServer>>,
-    ports: Arc<PortMap>,
+    server: Arc<ServerRuntime>,
     stop: Arc<AtomicBool>,
 ) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
@@ -334,12 +333,11 @@ fn accept_loop(
         if stop.load(Ordering::SeqCst) {
             break; // the shutdown wake-up connection
         }
-        let worker_txs = worker_txs.clone();
-        let ports = ports.clone();
+        let server = server.clone();
         let conn = next;
         let handle = std::thread::Builder::new()
             .name(format!("fgs-conn-{next}"))
-            .spawn(move || serve_conn(stream, welcome, worker_txs, ports, conn))
+            .spawn(move || serve_conn(stream, welcome, &server, conn))
             .expect("spawn connection");
         conns.push(handle);
         next += 1;
@@ -360,14 +358,9 @@ fn accept_loop(
 }
 
 /// Runs one server-side connection to completion: handshake, register,
-/// forward requests into the engine, deregister.
-fn serve_conn(
-    stream: TcpStream,
-    welcome: WelcomeInfo,
-    worker_txs: Vec<Sender<ToServer>>,
-    ports: Arc<PortMap>,
-    conn: u64,
-) {
+/// run each request through the server as it arrives, deregister.
+fn serve_conn(stream: TcpStream, welcome: WelcomeInfo, server: &ServerRuntime, conn: u64) {
+    let ports = server.ports();
     if configure_stream(&stream).is_err() {
         return;
     }
@@ -429,12 +422,12 @@ fn serve_conn(
         })
         .is_ok();
 
-    // Steady state: unbounded reads (see module docs), requests forwarded
-    // into the owning worker shard.
-    let worker = &worker_txs[id as usize % worker_txs.len()];
+    // Steady state: unbounded reads (see module docs); this thread is the
+    // connection's only producer, so it runs each request to completion
+    // as it reads it, in order.
     if accepted && read_half.set_read_timeout(None).is_ok() {
-        // `Bye`, any other frame (protocol violation), or a read error
-        // all end the connection.
+        // `Bye`, any other frame (protocol violation), a read error or a
+        // closed server all end the connection.
         while let Ok(Frame::Request {
             from,
             req,
@@ -445,24 +438,22 @@ fn serve_conn(
             if from.0 != id {
                 break;
             }
-            if worker
-                .send(ToServer::Req {
-                    from,
-                    req,
-                    commit_data,
-                })
-                .is_err()
-            {
+            let req = ToServer::Req {
+                from,
+                req,
+                commit_data,
+            };
+            if !server.serve(vec![req]) {
                 break;
             }
         }
     }
-    // Tell the engine the client is gone — through the same worker shard
-    // as its requests, so it lands after everything the connection sent.
-    // Sent *before* deregistering: a reconnecting client can only rebind
-    // the id after the deregister, so its first request is enqueued after
-    // this notice and cannot be swept up by the old connection's cleanup.
-    let _ = worker.send(ToServer::Disconnect { from: ClientId(id) });
+    // Tell the engine the client is gone — after everything the
+    // connection sent. Run *before* deregistering: a reconnecting client
+    // can only rebind the id after the deregister, so its first request
+    // runs after this notice and cannot be swept up by the old
+    // connection's cleanup.
+    server.serve(vec![ToServer::Disconnect { from: ClientId(id) }]);
     ports.deregister_port(id, &port);
     peer.shutdown_conn();
 }
@@ -478,7 +469,7 @@ pub(crate) struct TcpSink {
 
 impl RequestSink for TcpSink {
     fn send_request(
-        &self,
+        &mut self,
         from: ClientId,
         req: Request,
         commit_data: Vec<(Oid, Vec<u8>)>,
@@ -492,7 +483,7 @@ impl RequestSink for TcpSink {
             .map_err(|_| TxnError::Server)
     }
 
-    fn close(&self) {
+    fn close(&mut self) {
         let _ = self.peer.send_frame(&Frame::Bye);
         self.peer.shutdown_conn();
     }

@@ -1,7 +1,8 @@
 //! The envelopes client runtimes and the server pipeline exchange:
-//! [`ToServer`] travels a worker shard's queue, [`ToClient`] is handed to
-//! the client's port, which runs the client runtime on the delivering
-//! thread (or ships it over a socket).
+//! [`ToServer`] is run through the server by the thread that produced it
+//! (from a client's outbox, or as read off a connection), [`ToClient`] is
+//! handed to the client's port, which runs the client runtime on the
+//! delivering thread (or ships it over a socket).
 
 use fgs_core::{ClientId, Oid, Request, ServerMsg};
 
@@ -20,15 +21,13 @@ pub(crate) enum ToServer {
         commit_data: Vec<(Oid, Vec<u8>)>,
     },
     /// The transport lost `from`'s connection: the engine reclaims the
-    /// client's copies and aborts its live transactions. Routed through
-    /// the client's worker shard, so it is ordered after every request
-    /// the dead connection managed to send.
+    /// client's copies and aborts its live transactions. Run by the
+    /// client's own producer, so it is ordered after every request the
+    /// dead connection managed to send.
     Disconnect {
         /// The client whose connection died.
         from: ClientId,
     },
-    /// Stop the server thread.
-    Shutdown,
 }
 
 /// Server → client envelope: the protocol message plus any data payloads.

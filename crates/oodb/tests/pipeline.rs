@@ -1,6 +1,7 @@
-//! Tests of the sharded, pipelined server runtime: group commit under
-//! concurrency, server-initiated aborts on storage failures, and crash
-//! recovery from a snapshot taken mid-group-commit.
+//! Tests of the pipelined server runtime: group commit under
+//! concurrency, a log writer that never stalls the request path (nor is
+//! stalled by it), server-initiated aborts on storage failures, and
+//! crash recovery from a snapshot taken mid-group-commit.
 
 use fgs_core::{Oid, PageId, Protocol};
 use fgs_oodb::{EngineConfig, Oodb, TxnError, WalHold};
@@ -20,7 +21,6 @@ fn config(protocol: Protocol) -> EngineConfig {
         n_clients: CLIENTS,
         client_cache_pages: 4,
         server_pool_pages: 8,
-        server_workers: 4,
         paranoid: true,
         // Transport comes from `FGS_TRANSPORT` (the CI loopback-TCP lane
         // runs this whole suite over sockets).
@@ -38,8 +38,8 @@ fn encode(version: u64) -> Vec<u8> {
     v
 }
 
-/// Eight sessions of mixed read/write transactions, sharded over four
-/// server workers: the version-counter oracle proves serializability
+/// Eight sessions of mixed read/write transactions, each running its own
+/// requests through the server: the version-counter oracle proves serializability
 /// (strict 2PL means counters never regress or skip), and the store's
 /// commit counters prove that concurrent commits from distinct clients
 /// were made durable by batched (group) log forces.
@@ -148,11 +148,11 @@ fn pipelined_server_is_serializable_and_group_commits() {
 }
 
 /// Commits never wait on the force path: while client 0's commit is
-/// parked behind a frozen force, client 4 — sharded onto the same
-/// worker (`4 % 4 == 0`) — still runs a whole transaction that needs
-/// the server. A worker that waited for durability would wedge it.
+/// parked behind a frozen force, client 4 still runs a whole
+/// transaction that needs the server. A request path that waited for
+/// durability would wedge it.
 #[test]
-fn a_commit_parked_on_the_force_does_not_stall_its_worker() {
+fn a_commit_parked_on_the_force_does_not_stall_the_server() {
     let db = Oodb::open(config(Protocol::PsAa)).unwrap();
     let committed = AtomicBool::new(false);
     db.wal_hold(WalHold::BeforeForce);
@@ -166,8 +166,8 @@ fn a_commit_parked_on_the_force_does_not_stall_its_worker() {
             committed.store(true, Ordering::SeqCst);
             done
         });
-        // Worker 0 has begun appending the commit's records, so client
-        // 4's requests queue behind that batch; the force stays held.
+        // Client 0's run has appended the commit's records; the force
+        // stays held.
         while db.crash_log(usize::MAX).len() <= durable {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
@@ -181,6 +181,80 @@ fn a_commit_parked_on_the_force_does_not_stall_its_worker() {
         );
         db.wal_hold(WalHold::None);
         commit.join().unwrap().expect("the parked commit completes");
+    });
+    db.check_server_invariants();
+    db.shutdown();
+}
+
+/// The log writer never blocks inside a run. Under `BeforeWrite`,
+/// client 0's commit parks on the force, and the callback client 1's
+/// write sends to client 0 (which caches the page) queues behind that
+/// ack. A checkpoint forces the log synchronously — holds never gate it
+/// — and re-engaging the hold kicks the writer: its turn releases the ack
+/// and the callback on the log-writer thread, client 0 answers the
+/// callback there, and that reply is served with the hold still engaged,
+/// so client 1's write goes through. Releasing the hold then acks client
+/// 1's commit, parked under it.
+#[test]
+fn a_callback_reply_produced_by_a_log_writer_delivery_is_served() {
+    let db = Oodb::open(config(Protocol::PsAa)).unwrap();
+    let x = Oid::new(PageId(0), 0);
+    let (a, b) = (db.session(0), db.session(1));
+    a.run_txn(0, |t| t.read(x).map(drop)).unwrap();
+    let wrote = AtomicBool::new(false);
+    let committed = AtomicBool::new(false);
+    let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !cond() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out waiting for {what}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+    db.wal_hold(WalHold::BeforeWrite);
+    a.begin().unwrap();
+    a.write(Oid::new(PageId(1), 0), encode(1)).unwrap();
+    let (passes, callbacks) = (
+        db.store_stats().lock_acquisitions,
+        db.server_stats().callbacks_sent,
+    );
+    std::thread::scope(|scope| {
+        let a_commit = scope.spawn(|| a.commit());
+        // The commit's run has passed the protocol stage, so its ack is
+        // ahead of anything client 1's write makes the engine send.
+        wait_for("client 0's commit", &|| {
+            db.store_stats().lock_acquisitions > passes
+        });
+        let b_txn = scope.spawn(|| {
+            b.begin()?;
+            b.write(x, encode(7))?;
+            wrote.store(true, Ordering::SeqCst);
+            let done = b.commit();
+            committed.store(true, Ordering::SeqCst);
+            done
+        });
+        wait_for("the callback to client 0", &|| {
+            db.server_stats().callbacks_sent > callbacks
+        });
+        assert!(
+            !wrote.load(Ordering::SeqCst),
+            "the callback overtook client 0's parked ack"
+        );
+        db.checkpoint().unwrap();
+        db.wal_hold(WalHold::BeforeWrite);
+        a_commit
+            .join()
+            .unwrap()
+            .expect("client 0's commit is acked");
+        wait_for("client 1's write", &|| wrote.load(Ordering::SeqCst));
+        assert!(
+            !committed.load(Ordering::SeqCst),
+            "client 1's commit was acked while the hold was engaged"
+        );
+        db.wal_hold(WalHold::None);
+        b_txn.join().unwrap().expect("client 1's commit is acked");
     });
     db.check_server_invariants();
     db.shutdown();

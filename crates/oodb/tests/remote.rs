@@ -27,7 +27,6 @@ fn config(protocol: Protocol, n_clients: u16) -> EngineConfig {
         n_clients,
         client_cache_pages: 4,
         server_pool_pages: 16,
-        server_workers: 2,
         paranoid: true,
         ..EngineConfig::default()
     }
