@@ -11,8 +11,9 @@
 //! with `pending` events, then alternate pop / schedule-one-ahead so the
 //! population stays constant — the steady state of the simulator's main
 //! loop. Gaps are exponential (mean 1 ms), like the model's service and
-//! think times. The heap baseline is the pre-calendar implementation,
-//! reproduced verbatim (same tie-break, same clock discipline).
+//! think times. The heap baseline is the pre-calendar implementation
+//! (`fgs_simkernel::test_support::HeapCalendar`: same tie-break, same
+//! clock discipline).
 //!
 //! The sweep benchmark times one small HOTCOLD figure at 1/2/4/8 workers
 //! and cross-checks that every figure is bit-identical to the sequential
@@ -21,74 +22,11 @@
 
 use fgs_core::Protocol;
 use fgs_sim::{sweep_probs_workers, Figure, RunConfig, SystemConfig};
+use fgs_simkernel::test_support::HeapCalendar;
 use fgs_simkernel::{Calendar, Pcg32, SimTime};
 use fgs_workload::{Locality, WorkloadSpec};
 use serde::Serialize;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::time::Instant;
-
-// ---------------------------------------------------------------------
-// Heap baseline: the event engine the calendar queue replaced.
-// ---------------------------------------------------------------------
-
-struct HeapEntry {
-    time: SimTime,
-    seq: u64,
-    event: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct HeapCalendar {
-    heap: BinaryHeap<HeapEntry>,
-    now: SimTime,
-    seq: u64,
-}
-
-impl HeapCalendar {
-    fn new() -> Self {
-        HeapCalendar {
-            heap: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-        }
-    }
-
-    fn schedule(&mut self, time: SimTime, event: u32) {
-        assert!(time >= self.now, "scheduling into the past");
-        self.heap.push(HeapEntry {
-            time,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u32)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.time;
-        Some((entry.time, entry.event))
-    }
-}
 
 // ---------------------------------------------------------------------
 // Hold model
@@ -103,7 +41,7 @@ trait Engine {
     fn pop_next(&mut self) -> (SimTime, u32);
 }
 
-impl Engine for HeapCalendar {
+impl Engine for HeapCalendar<u32> {
     fn schedule_at(&mut self, time: SimTime, event: u32) {
         self.schedule(time, event);
     }

@@ -619,8 +619,9 @@ pub fn run_seed_hold(
                 );
                 // The log capture: strictly after the crash line, with
                 // the WAL pipeline parked at the plan's stage boundary.
-                // Releasing the hold afterwards lets the writer drain,
-                // so in-flight (ghost) commits unwedge before the join.
+                // Releasing the hold afterwards forces the parked tail on
+                // this thread, so in-flight (ghost) commits unwedge before
+                // the join.
                 server.wal_hold(plan.faults.wal_hold);
                 let log = server.crash_log(plan.torn_tail);
                 server.wal_hold(WalHold::None);

@@ -2,8 +2,8 @@
 // suppressed through the escape hatches — the `#[allow_lock_order]`
 // attribute and `fgs-lint: allow(...)` directives. Must lint clean.
 
-struct LogWriterState {
-    pending: Vec<u64>,
+struct ClientRuntime {
+    outbox: Vec<u64>,
 }
 
 struct ProtocolStage {
@@ -15,7 +15,7 @@ struct WalInner {
 }
 
 struct Srv {
-    gc: Mutex<LogWriterState>,
+    client: Mutex<ClientRuntime>,
     protocol: Mutex<ProtocolStage>,
     wal: Mutex<WalInner>,
 }
@@ -24,16 +24,16 @@ impl Srv {
     #[allow_lock_order]
     fn audited_inversion(&self) {
         let w = self.wal.lock();
-        let g = self.gc.lock();
-        drop(g);
+        let c = self.client.lock();
+        drop(c);
         drop(w);
     }
 
     fn line_scoped_allow(&self) {
         let w = self.wal.lock();
         // fgs-lint: allow(lock_order)
-        let g = self.gc.lock();
-        drop(g);
+        let c = self.client.lock();
+        drop(c);
         drop(w);
     }
 
@@ -41,6 +41,6 @@ impl Srv {
     fn audited_io(&self, tx: &Sender<u64>) {
         let g = self.protocol.lock();
         tx.send(7);
-        drop(g);
+        drop(c);
     }
 }

@@ -1,9 +1,9 @@
 // Fixture: a well-behaved module that follows the declared lock order
-// (LogWriterState -> ProtocolStage -> PoolShard -> WalInner -> Disk) everywhere.
+// (ClientState -> ProtocolStage -> PoolShard -> WalInner -> Disk) everywhere.
 // fgs-lint must report nothing here.
 
-struct LogWriterState {
-    pending: Vec<u64>,
+struct ClientRuntime {
+    outbox: Vec<u64>,
 }
 
 struct ProtocolStage {
@@ -19,7 +19,7 @@ struct WalInner {
 }
 
 struct Srv {
-    gc: Mutex<LogWriterState>,
+    client: Mutex<ClientRuntime>,
     protocol: Mutex<ProtocolStage>,
     shard0: Mutex<PoolInner>,
     wal: Mutex<WalInner>,
@@ -27,14 +27,14 @@ struct Srv {
 
 impl Srv {
     fn full_descent(&self) {
-        let g = self.gc.lock();
+        let c = self.client.lock();
         let p = self.protocol.lock();
         drop(p);
         let s = self.shard0.lock();
         let w = self.wal.lock();
         drop(w);
         drop(s);
-        drop(g);
+        drop(c);
     }
 
     fn scoped_blocks(&self) {
@@ -42,14 +42,14 @@ impl Srv {
             let w = self.wal.lock();
             let _ = w;
         }
-        let g = self.gc.lock();
-        drop(g);
+        let c = self.client.lock();
+        drop(c);
     }
 
     fn temp_guard_then_lower(&self) -> usize {
         let n = self.wal.lock().buf.len();
-        let g = self.gc.lock();
-        drop(g);
+        let c = self.client.lock();
+        drop(c);
         n
     }
 }

@@ -2,8 +2,8 @@
 // direct inversion and the transitive one through `helper`, naming the
 // offending lock pair.
 
-struct LogWriterState {
-    pending: Vec<u64>,
+struct ClientRuntime {
+    outbox: Vec<u64>,
 }
 
 struct WalInner {
@@ -11,21 +11,21 @@ struct WalInner {
 }
 
 struct Srv {
-    gc: Mutex<LogWriterState>,
+    client: Mutex<ClientRuntime>,
     wal: Mutex<WalInner>,
 }
 
 impl Srv {
     fn direct_inversion(&self) {
         let w = self.wal.lock();
-        let g = self.gc.lock();
-        drop(g);
+        let c = self.client.lock();
+        drop(c);
         drop(w);
     }
 
     fn helper(&self) {
-        let g = self.gc.lock();
-        drop(g);
+        let c = self.client.lock();
+        drop(c);
     }
 
     fn transitive_inversion(&self) {

@@ -2,8 +2,8 @@
 // must flag both the stale directive and the stale attribute
 // (unused_allow) — the code below is clean, so the annotations are rot.
 
-struct LogWriterState {
-    pending: Vec<u64>,
+struct ClientRuntime {
+    outbox: Vec<u64>,
 }
 
 struct WalInner {
@@ -11,22 +11,22 @@ struct WalInner {
 }
 
 struct Srv {
-    gc: Mutex<LogWriterState>,
+    client: Mutex<ClientRuntime>,
     wal: Mutex<WalInner>,
 }
 
 impl Srv {
     // fgs-lint: allow(lock_order)
     fn fine(&self) {
-        let g = self.gc.lock();
+        let c = self.client.lock();
         let w = self.wal.lock();
         drop(w);
-        drop(g);
+        drop(c);
     }
 
     #[allow_lock_order]
     fn also_fine(&self) {
-        let g = self.gc.lock();
-        drop(g);
+        let c = self.client.lock();
+        drop(c);
     }
 }

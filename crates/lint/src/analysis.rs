@@ -1136,9 +1136,9 @@ mod tests {
     }
 
     const PRELUDE: &str = r#"
-        struct LogWriterState { pending: Vec<u64> }
+        struct ClientRuntime { outbox: Vec<u64> }
         struct WalInner { buf: Vec<u8> }
-        struct Srv { gc: Mutex<LogWriterState>, wal: Mutex<WalInner> }
+        struct Srv { client: Mutex<ClientRuntime>, wal: Mutex<WalInner> }
     "#;
 
     #[test]
@@ -1147,7 +1147,7 @@ mod tests {
             "{PRELUDE}
             impl Srv {{
                 fn ok(&self) {{
-                    let g = self.gc.lock();
+                    let g = self.client.lock();
                     let w = self.wal.lock();
                     drop(w);
                     drop(g);
@@ -1164,7 +1164,7 @@ mod tests {
             impl Srv {{
                 fn bad(&self) {{
                     let w = self.wal.lock();
-                    let g = self.gc.lock();
+                    let g = self.client.lock();
                     drop(g);
                     drop(w);
                 }}
@@ -1173,7 +1173,7 @@ mod tests {
         let v = check(&src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, Rule::LockOrder);
-        assert!(v[0].message.contains("LogWriterState"));
+        assert!(v[0].message.contains("ClientState"));
         assert!(v[0].message.contains("WalInner"));
     }
 
@@ -1183,7 +1183,7 @@ mod tests {
             "{PRELUDE}
             impl Srv {{
                 fn helper(&self) {{
-                    let g = self.gc.lock();
+                    let g = self.client.lock();
                     drop(g);
                 }}
                 fn bad(&self) {{
@@ -1206,7 +1206,7 @@ mod tests {
                 fn ok(&self) {{
                     let w = self.wal.lock();
                     drop(w);
-                    let g = self.gc.lock();
+                    let g = self.client.lock();
                     drop(g);
                 }}
             }}"
@@ -1221,7 +1221,7 @@ mod tests {
             impl Srv {{
                 fn ok(&self) {{
                     {{ let w = self.wal.lock(); }}
-                    let g = self.gc.lock();
+                    let g = self.client.lock();
                     drop(g);
                 }}
             }}"
@@ -1237,7 +1237,7 @@ mod tests {
                 fn bad(&self) {{
                     let w = self.wal.lock();
                     // fgs-lint: allow(lock_order)
-                    let g = self.gc.lock();
+                    let g = self.client.lock();
                     drop(g);
                     drop(w);
                 }}
@@ -1252,8 +1252,8 @@ mod tests {
             "{PRELUDE}
             impl Srv {{
                 fn bad(&self) {{
-                    let a = self.gc.lock();
-                    let b = self.gc.lock();
+                    let a = self.client.lock();
+                    let b = self.client.lock();
                     drop(b);
                     drop(a);
                 }}
@@ -1289,7 +1289,7 @@ mod tests {
             impl Srv {{
                 fn ok(&self) -> usize {{
                     let n = self.wal.lock().buf.len();
-                    let g = self.gc.lock();
+                    let g = self.client.lock();
                     drop(g);
                     n
                 }}

@@ -6,8 +6,8 @@
 //! lock it already holds:
 //!
 //! ```text
-//! ClientState -> LogWriterState -> ProtocolStage -> PoolShard -> WalInner
-//!     -> Disk -> CompletionState -> PortTable -> ConnWriter
+//! ClientState -> ProtocolStage -> PoolShard -> WalInner -> Disk
+//!     -> CompletionState -> PortTable -> ConnWriter
 //! ```
 
 use std::fmt;
@@ -20,36 +20,34 @@ pub enum LockClass {
     /// One client workstation's runtime — protocol engine, byte cache and
     /// request outbox (`client.rs`) — locked by application calls and by
     /// whichever thread delivers the client's server messages (any thread
-    /// running a request, the log writer, a TCP reader thread). Outermost:
+    /// running a request or forcing the log, a TCP reader thread).
+    /// Outermost:
     /// it is held across `RequestSink::send_request` (which takes
     /// `ConnWriter` over TCP), so every caller and every deliverer takes
     /// it with nothing held — the completion router never delivers under
     /// its own lock, and a thread serves what it queued only after
     /// dropping this one.
     ClientState = 0,
-    /// The log-writer thread's request board (`server.rs`): the
-    /// requested-durability watermark and pending-commit count request
-    /// runs hand to the dedicated WAL writer.
-    LogWriterState = 1,
     /// A pipeline stage's protocol/engine mutex (`server.rs`).
-    ProtocolStage = 2,
+    ProtocolStage = 1,
     /// One buffer-pool shard (`bufferpool.rs`).
-    PoolShard = 3,
+    PoolShard = 2,
     /// The WAL's inner buffer + durable horizon (`wal.rs`).
-    WalInner = 4,
+    WalInner = 3,
     /// The disk manager's page table (`disk.rs`).
-    Disk = 5,
-    /// The completion router's durable watermark + per-client barrier
-    /// queues (`server.rs`). Sits after the storage classes (the log
-    /// writer advances it having finished its WAL/disk work) and before
-    /// the transport classes (releasing a queue resolves a port).
-    CompletionState = 6,
+    Disk = 4,
+    /// The completion router's durable watermark, log-force claim and
+    /// per-client barrier queues (`server.rs`). Sits after the storage
+    /// classes (a forcing run advances it having finished its WAL/disk
+    /// work) and before the transport classes (releasing a queue
+    /// resolves a port).
+    CompletionState = 5,
     /// The transport's client-port registry (`transport/mod.rs`).
-    PortTable = 7,
+    PortTable = 6,
     /// A TCP connection's write half (`transport/tcp.rs`). Innermost by
     /// design: socket writes are blocking I/O, so nothing may be waiting
     /// on a `ConnWriter` holder.
-    ConnWriter = 8,
+    ConnWriter = 7,
 }
 
 impl LockClass {
@@ -65,9 +63,8 @@ impl LockClass {
     }
 
     /// All classes, in order.
-    pub const ALL: [LockClass; 9] = [
+    pub const ALL: [LockClass; 8] = [
         LockClass::ClientState,
-        LockClass::LogWriterState,
         LockClass::ProtocolStage,
         LockClass::PoolShard,
         LockClass::WalInner,
@@ -83,7 +80,6 @@ impl LockClass {
     pub fn from_inner_type(name: &str) -> Option<LockClass> {
         Some(match name {
             "ClientRuntime" => LockClass::ClientState,
-            "LogWriterState" => LockClass::LogWriterState,
             "ProtocolStage" | "EngineStage" => LockClass::ProtocolStage,
             "PoolShard" | "PoolInner" | "ShardInner" => LockClass::PoolShard,
             "WalInner" => LockClass::WalInner,
@@ -111,7 +107,6 @@ impl fmt::Display for LockClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             LockClass::ClientState => "ClientState",
-            LockClass::LogWriterState => "LogWriterState",
             LockClass::ProtocolStage => "ProtocolStage",
             LockClass::PoolShard => "PoolShard",
             LockClass::WalInner => "WalInner",
@@ -207,10 +202,9 @@ mod tests {
     #[test]
     fn ranks_follow_the_declared_dag() {
         let ranks: Vec<u8> = LockClass::ALL.iter().map(|c| c.rank()).collect();
-        assert_eq!(ranks, vec![0, 1, 2, 3, 4, 5, 6, 7, 8]);
-        assert!(LockClass::ClientState < LockClass::LogWriterState);
+        assert_eq!(ranks, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        assert!(LockClass::ClientState < LockClass::ProtocolStage);
         assert!(LockClass::ClientState < LockClass::ConnWriter);
-        assert!(LockClass::LogWriterState < LockClass::ProtocolStage);
         assert!(LockClass::WalInner < LockClass::Disk);
         assert!(LockClass::Disk < LockClass::CompletionState);
         assert!(LockClass::CompletionState < LockClass::PortTable);

@@ -146,7 +146,7 @@ pub(crate) fn match_delim(toks: &[Tok], i: usize, open: char, close: char) -> Op
 }
 
 /// The "type hint" of a run of type tokens: the last uppercase-initial
-/// identifier. `Arc<Mutex<LogWriterState>>` → `LogWriterState`; `&'a mut WalInner` →
+/// identifier. `Arc<Mutex<CompletionState>>` → `CompletionState`; `&'a mut WalInner` →
 /// `WalInner`; `Arc<dyn DiskManager>` → `DiskManager`; `u64` → none.
 pub fn type_hint(toks: &[Tok]) -> Option<String> {
     toks.iter()

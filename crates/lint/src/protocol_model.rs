@@ -173,8 +173,8 @@ pub const ORIGINS: &[OriginSpec] = &[
     // The engine itself no longer constructs the commit ack: it emits a
     // `ServerAction::AckCommit`, and the ack becomes a wire message only
     // where durability is decided — the completion router (embedded
-    // server) once the log writer's durable watermark passes the ack's
-    // LSN, or the simulator's log-force continuation.
+    // server) once the durable watermark a committer's force advanced
+    // passes the ack's LSN, or the simulator's log-force continuation.
     OriginSpec {
         variant: "ServerMsg::CommitDone",
         origins: &[

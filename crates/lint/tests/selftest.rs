@@ -29,7 +29,7 @@ fn inversion_fixture_flags_both_inversions() {
     assert_eq!(v.len(), 2, "{v:?}");
     assert!(v.iter().all(|x| x.rule == Rule::LockOrder));
     // The direct inversion names the offending pair.
-    assert!(v[0].message.contains("LogWriterState") && v[0].message.contains("WalInner"));
+    assert!(v[0].message.contains("ClientState") && v[0].message.contains("WalInner"));
     // The transitive one names the callee it goes through.
     assert!(v.iter().any(|x| x.message.contains("helper")), "{v:?}");
 }

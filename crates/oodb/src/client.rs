@@ -198,17 +198,16 @@ impl ClientShared {
 }
 
 /// The client is its own port: the thread that delivers a server message
-/// — on the channel transport the run that produced it or the log
-/// writer (through a chaos port under fault injection), over TCP the
-/// connection's reader thread — runs the engine on the spot.
+/// — on the channel transport the run that produced it or the force
+/// that released it (through a chaos port under fault injection), over
+/// TCP the connection's reader thread — runs the engine on the spot.
 ///
 /// That thread may take `ClientState`, the outermost lock class, because
 /// every deliverer holds no lock when it calls in: the completion router
-/// drops `CompletionState` before it delivers, the log writer drops
-/// `LogWriterState` before it advances the router, a chaos port holds
-/// no lock while it delivers, and reader threads hold nothing. Under
-/// `ClientState` the client only
-/// queues into its outbox or, over TCP, writes a socket (DESIGN.md §10).
+/// drops `CompletionState` before it delivers (a forcing run included),
+/// a chaos port holds no lock while it delivers, and reader threads hold
+/// nothing. Under `ClientState` the client only queues into its outbox
+/// or, over TCP, writes a socket (DESIGN.md §10).
 impl ClientPort for ClientShared {
     fn deliver(&self, env: ToClient) -> bool {
         self.handle_run(std::iter::once(env))

@@ -2,20 +2,21 @@
 //!
 //! An embedded, multi-threaded **page-server OODBMS** implementing the
 //! five granularity schemes of Carey, Franklin & Zaharioudakis (SIGMOD
-//! 1994). The server is a staged pipeline with no request threads of its
-//! own — whoever sends a request runs it through every stage: commit
-//! records are appended to a double-buffered WAL tail and forced by a
-//! dedicated log-writer thread (acks released by the completion router
-//! once the durable watermark passes them), the protocol engine runs
-//! single-writer under a small lock, and data payloads are attached
-//! outside it. Each client workstation is passive state — its own cache
-//! (page images or objects) driven by the client protocol engine — that
-//! a [`Session`] call runs on the calling thread, so an access to a
-//! cached object costs a lock and no message or thread hop; a miss or a
-//! commit runs its own request through the server on that same thread,
-//! and a server message runs the client on the thread that delivers it
-//! (whichever thread is running the request that produced it, the log
-//! writer, or a TCP connection's reader).
+//! 1994). The server is a staged pipeline with no threads of its own —
+//! whoever sends a request runs it through every stage: commit records
+//! are appended to a double-buffered WAL tail, the protocol engine runs
+//! single-writer under a small lock, data payloads are attached outside
+//! it, and a run that appended commits forces the log itself (one force
+//! in flight; commits appended meanwhile ride the next) before the
+//! completion router releases their acks. Each client workstation is
+//! passive state — its own cache (page images or objects) driven by the
+//! client protocol engine — that a [`Session`] call runs on the calling
+//! thread, so an access to a cached object costs a lock and no message
+//! or thread hop; a miss or a commit runs its own request through the
+//! server on that same thread, and a server message runs the client on
+//! the thread that delivers it (whichever thread is running the request
+//! that produced it or the force that released it, or a TCP
+//! connection's reader).
 //! The engines are the *same* `fgs-core` engines the simulator
 //! evaluates, so the measured protocols and the executable system cannot
 //! diverge.
@@ -28,9 +29,9 @@
 //!   de-escalation under PS-AA, and deadlock detection with victim abort
 //!   (surfaced as [`TxnError::Deadlock`] — retry via [`Session::run_txn`]);
 //! * steal/no-force durability: WAL with before/after images, an
-//!   asynchronous durability pipeline (a dedicated log-writer thread
-//!   coalesces forces across commits; see [`Oodb::store_stats`]), crash
-//!   recovery (see `fgs-pagestore`);
+//!   staged durability pipeline (committers force the log one cycle at
+//!   a time, so concurrent commits share a force; see
+//!   [`Oodb::store_stats`]), crash recovery (see `fgs-pagestore`);
 //! * size-changing updates: objects may grow up to page capacity;
 //!   overflow at the server forwards records transparently;
 //! * a pluggable transport (DESIGN.md §12): the embedded engine runs its
@@ -82,7 +83,7 @@ pub use transport::TransportKind;
 
 use crate::chaos::ChaosPort;
 use crate::client::ClientShared;
-use crate::server::{log_writer_loop, ServerRuntime};
+use crate::server::ServerRuntime;
 use crate::transport::channel::ChannelSink;
 use crate::transport::tcp::{TcpConnection, TcpServer, WelcomeInfo};
 use crate::transport::{ClientParams, ClientPort};
@@ -92,60 +93,19 @@ use fgs_pagestore::{DiskManager, MemDisk, RecoveryReport, Store};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// The transport-independent server half: the request pipeline, which
-/// whoever sends a request runs (delivering, in engine order, through
-/// the completion router), and the log writer — the server's one thread.
-/// [`Oodb`] wires local clients onto it; [`serve_tcp`] exposes it to
-/// remote ones.
-pub(crate) struct ServerCore {
-    runtime: Arc<ServerRuntime>,
-    /// The dedicated log-writer thread; stopped (with a final catch-up
-    /// cycle) only after the close and the runs still in flight, so all
-    /// registered commits are forced and acked before it exits.
-    log_writer: Option<JoinHandle<()>>,
-}
-
-impl ServerCore {
-    /// Starts the pipeline and its log-writer thread, admitting client
-    /// ids below `config.n_clients`.
-    pub(crate) fn start(config: &EngineConfig, store: Store) -> ServerCore {
-        let engine = ServerEngine::new(config.protocol, config.objects_per_page);
-        let runtime = Arc::new(ServerRuntime::new(
-            engine,
-            store,
-            config.paranoid,
-            config.n_clients,
-        ));
-        // The durability stage: one thread owning the WAL tail, cycling
-        // seal → write → force over whatever the runs appended and
-        // advancing the completion router's durable watermark.
-        let log_writer = {
-            let runtime = runtime.clone();
-            std::thread::Builder::new()
-                .name("fgs-wal".into())
-                .spawn(move || log_writer_loop(&runtime))
-                .expect("spawn log writer")
-        };
-        ServerCore {
-            runtime,
-            log_writer: Some(log_writer),
-        }
-    }
-
-    pub(crate) fn checkpoint(&self) -> std::io::Result<()> {
-        self.runtime.store().flush_all()
-    }
-
-    /// Closes the server — a later request fails with
-    /// [`TxnError::Server`] — and joins the log writer, whose last cycle,
-    /// taken once the runs in flight finish, forces and acks everything
-    /// they registered.
-    pub(crate) fn shutdown(&mut self) {
-        if let Some(writer) = self.log_writer.take() {
-            self.runtime.close();
-            let _ = writer.join();
-        }
-    }
+/// Starts the transport-independent server half: the request pipeline,
+/// which whoever sends a request runs (forcing the log and delivering,
+/// in engine order, through the completion router), admitting client ids
+/// below `config.n_clients`. [`Oodb`] wires local clients onto it;
+/// [`serve_tcp`] exposes it to remote ones.
+pub(crate) fn start_server(config: &EngineConfig, store: Store) -> Arc<ServerRuntime> {
+    let engine = ServerEngine::new(config.protocol, config.objects_per_page);
+    Arc::new(ServerRuntime::new(
+        engine,
+        store,
+        config.paranoid,
+        config.n_clients,
+    ))
 }
 
 /// An embedded page-server database: the server pipeline plus one client
@@ -154,7 +114,7 @@ impl ServerCore {
 /// [`TransportKind`].
 pub struct Oodb {
     config: EngineConfig,
-    core: ServerCore,
+    server: Arc<ServerRuntime>,
     clients: Vec<Arc<ClientShared>>,
     /// Over [`TransportKind::Tcp`], each client's connection reader.
     readers: Vec<JoinHandle<()>>,
@@ -200,7 +160,7 @@ impl Oodb {
     }
 
     fn start(config: EngineConfig, store: Store) -> std::io::Result<Oodb> {
-        let core = ServerCore::start(&config, store);
+        let server = start_server(&config, store);
         let params = ClientParams::from_config(&config);
         let mut clients = Vec::new();
         let mut readers = Vec::new();
@@ -213,8 +173,8 @@ impl Oodb {
             TransportKind::Channel => {
                 for i in 0..config.n_clients {
                     let id = ClientId(i);
-                    let server = Arc::downgrade(&core.runtime);
-                    let sink = ChannelSink::new(id, server);
+                    let weak = Arc::downgrade(&server);
+                    let sink = ChannelSink::new(id, weak);
                     let shared = ClientShared::new(id, params, Box::new(sink));
                     // The runtime is its own port: the thread that
                     // delivers runs it.
@@ -226,7 +186,7 @@ impl Oodb {
                         Some(cfg) => Arc::new(ChaosPort::new(shared.clone(), cfg, u64::from(i))),
                         None => shared.clone(),
                     };
-                    core.runtime
+                    server
                         .ports()
                         .register_port(Some(i), port)
                         .expect("register embedded client");
@@ -235,24 +195,24 @@ impl Oodb {
                 None
             }
             TransportKind::Tcp => {
-                let server = TcpServer::bind(
+                let listener = TcpServer::bind(
                     ("127.0.0.1", 0),
                     WelcomeInfo::from_config(&config),
-                    core.runtime.clone(),
+                    server.clone(),
                 )?;
-                let addr = server.local_addr();
+                let addr = listener.local_addr();
                 for i in 0..config.n_clients {
                     let conn = TcpConnection::connect(addr, Some(i))?;
                     let shared = ClientShared::new(ClientId(i), params, Box::new(conn.sink()));
                     readers.push(conn.spawn_reader(shared.clone()));
                     clients.push(shared);
                 }
-                Some(server)
+                Some(listener)
             }
         };
         Ok(Oodb {
             config,
-            core,
+            server,
             clients,
             readers,
             tcp,
@@ -271,47 +231,45 @@ impl Oodb {
 
     /// Server-side protocol counters.
     pub fn server_stats(&self) -> ServerStats {
-        self.core.runtime.engine_stats()
+        self.server.engine_stats()
     }
 
-    /// Commit-durability counters (commits, log-writer cycles, log forces).
+    /// Commit-durability counters (commits, group commits, log forces).
     pub fn store_stats(&self) -> StoreStats {
-        self.core.runtime.store_stats()
+        self.server.store_stats()
     }
 
     /// Checks the server engine's internal invariants (tests).
     pub fn check_server_invariants(&self) {
-        self.core.runtime.check_invariants();
+        self.server.check_invariants();
     }
 
     /// Flushes all dirty pages and the log (checkpoint).
     pub fn checkpoint(&self) -> std::io::Result<()> {
-        self.core.checkpoint()
+        self.server.store().flush_all()
     }
 
     /// A snapshot of the *durable* log bytes, as a crash would leave them
     /// (for recovery tests).
     pub fn durable_log(&self) -> Vec<u8> {
-        self.core.runtime.store().wal().durable_bytes()
+        self.server.store().wal().durable_bytes()
     }
 
     /// The durable log plus a torn tail of `extra` unforced bytes — the
     /// log image of a crash striking mid-write (for recovery tests).
     pub fn crash_log(&self, extra: usize) -> Vec<u8> {
-        self.core.runtime.store().wal().crash_bytes(extra)
+        self.server.store().wal().crash_bytes(extra)
     }
 
-    /// Freezes (or releases) the log writer at a chosen stage of its
-    /// seal → write → force cycle — the chaos harness's crash points for
-    /// the asynchronous durability pipeline. While held, the durable
-    /// watermark stops and pending commit acks stay parked; synchronous
-    /// flushes (checkpoint, abort) are deliberately unaffected.
+    /// Freezes (or releases) the log's seal → write → force cycle at a
+    /// chosen stage — the chaos harness's crash points for the staged
+    /// durability pipeline. While held, the durable watermark stops and
+    /// pending commit acks stay parked; synchronous flushes (checkpoint,
+    /// abort) are deliberately unaffected. Every change then forces the
+    /// log on the calling thread and delivers the acks that became
+    /// durable, so releasing a hold releases its parked acks.
     pub fn wal_hold(&self, hold: WalHold) {
-        self.core.runtime.store().wal().set_hold(hold);
-        // A turn under a hold no-ops yet still counts as handled, so the
-        // writer must be kicked (not merely woken) to re-drain once the
-        // hold lifts — otherwise parked acks wait for the next commit.
-        self.core.runtime.kick_log_writer();
+        self.server.set_wal_hold(hold);
     }
 
     /// Stops all threads, flushing state first (as dropping it does).
@@ -334,7 +292,7 @@ impl Drop for Oodb {
         if let Some(tcp) = self.tcp.as_mut() {
             tcp.shutdown();
         }
-        self.core.shutdown();
+        self.server.close();
     }
 }
 
@@ -357,7 +315,7 @@ mod tests {
         session
             .run_txn(0, |t| t.read(Oid::new(PageId(1), 0)))
             .unwrap();
-        let server = Arc::downgrade(&db.core.runtime);
+        let server = Arc::downgrade(&db.server);
         drop(db);
         assert!(server.upgrade().is_none(), "the server outlived its engine");
         assert_eq!(session.begin(), Err(TxnError::Closed));

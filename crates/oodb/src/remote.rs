@@ -11,9 +11,10 @@
 
 use crate::chaos::{ChaosConfig, ChaosSink};
 use crate::client::ClientShared;
+use crate::server::ServerRuntime;
 use crate::transport::tcp::{TcpConnection, TcpServer, WelcomeInfo};
 use crate::transport::RequestSink;
-use crate::{EngineConfig, ServerCore, Session};
+use crate::{start_server, EngineConfig, Session};
 use fgs_core::{ClientId, ServerStats};
 use fgs_pagestore::{DiskManager, MemDisk, RecoveryReport, Store, StoreStats};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -25,7 +26,7 @@ use std::time::Duration;
 /// [`ServerHandle::shutdown`]) checkpoints and stops it.
 pub struct ServerHandle {
     config: EngineConfig,
-    core: ServerCore,
+    server: Arc<ServerRuntime>,
     tcp: Option<TcpServer>,
 }
 
@@ -56,15 +57,11 @@ pub fn serve_tcp_with_disk(
     if init {
         store.init_objects(config.db_pages, config.objects_per_page, config.object_size)?;
     }
-    let core = ServerCore::start(&config, store);
-    let tcp = TcpServer::bind(
-        addr,
-        WelcomeInfo::from_config(&config),
-        core.runtime.clone(),
-    )?;
+    let server = start_server(&config, store);
+    let tcp = TcpServer::bind(addr, WelcomeInfo::from_config(&config), server.clone())?;
     Ok(ServerHandle {
         config,
-        core,
+        server,
         tcp: Some(tcp),
     })
 }
@@ -82,16 +79,12 @@ pub fn serve_tcp_recover(
     config.validate();
     let (store, report) =
         Store::recover(disk, log_bytes, config.server_pool_pages, config.db_pages)?;
-    let core = ServerCore::start(&config, store);
-    let tcp = TcpServer::bind(
-        addr,
-        WelcomeInfo::from_config(&config),
-        core.runtime.clone(),
-    )?;
+    let server = start_server(&config, store);
+    let tcp = TcpServer::bind(addr, WelcomeInfo::from_config(&config), server.clone())?;
     Ok((
         ServerHandle {
             config,
-            core,
+            server,
             tcp: Some(tcp),
         },
         report,
@@ -111,42 +104,41 @@ impl ServerHandle {
 
     /// Server-side protocol counters.
     pub fn server_stats(&self) -> ServerStats {
-        self.core.runtime.engine_stats()
+        self.server.engine_stats()
     }
 
-    /// Commit-durability counters (commits, log-writer cycles, log forces).
+    /// Commit-durability counters (commits, group commits, log forces).
     pub fn store_stats(&self) -> StoreStats {
-        self.core.runtime.store_stats()
+        self.server.store_stats()
     }
 
     /// Checks the server engine's internal invariants (tests).
     pub fn check_server_invariants(&self) {
-        self.core.runtime.check_invariants();
+        self.server.check_invariants();
     }
 
     /// Flushes all dirty pages and the log (checkpoint).
     pub fn checkpoint(&self) -> std::io::Result<()> {
-        self.core.checkpoint()
+        self.server.store().flush_all()
     }
 
     /// A snapshot of the *durable* log bytes, as a crash would leave them
     /// (for recovery tests).
     pub fn durable_log(&self) -> Vec<u8> {
-        self.core.runtime.store().wal().durable_bytes()
+        self.server.store().wal().durable_bytes()
     }
 
     /// The durable log plus a torn tail of `extra` unforced bytes — the
     /// log image of a crash striking mid-write (for recovery tests).
     pub fn crash_log(&self, extra: usize) -> Vec<u8> {
-        self.core.runtime.store().wal().crash_bytes(extra)
+        self.server.store().wal().crash_bytes(extra)
     }
 
-    /// Freezes (or releases) the log writer at a chosen stage of its
-    /// seal → write → force cycle (chaos crash points); see
+    /// Freezes (or releases) the log's seal → write → force cycle at a
+    /// chosen stage (chaos crash points); see
     /// [`Oodb::wal_hold`](crate::Oodb::wal_hold).
     pub fn wal_hold(&self, hold: crate::WalHold) {
-        self.core.runtime.store().wal().set_hold(hold);
-        self.core.runtime.kick_log_writer();
+        self.server.set_wal_hold(hold);
     }
 
     /// Checkpoints, disconnects every client, and stops the pipeline (as
@@ -156,11 +148,11 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        let _ = self.core.checkpoint();
+        let _ = self.checkpoint();
         if let Some(mut tcp) = self.tcp.take() {
             tcp.shutdown();
         }
-        self.core.shutdown();
+        self.server.close();
     }
 }
 

@@ -13,11 +13,10 @@
 //!   concurrently.
 //! * **Durability (append)** — commit data is installed into the store
 //!   and the commit records *appended* before the engine releases locks;
-//!   the run registers the batch's watermark with the [`LogWriter`]
-//!   and moves on without waiting for the force. Early lock release is
-//!   safe under the WAL rule: any transaction that reads the released
-//!   state appends its own commit record *after* these, so its ack
-//!   watermark covers them (log order).
+//!   the force comes last, after delivery is under way. Early lock
+//!   release is safe under the WAL rule: any transaction that reads the
+//!   released state appends its own commit record *after* these, so its
+//!   ack watermark covers them (log order).
 //! * **Protocol** — the engine itself stays single-writer under a small
 //!   mutex held only for the in-memory state transition; a global
 //!   sequence number is assigned under the same lock, capturing the
@@ -26,32 +25,32 @@
 //!   *outside* the engine lock (the store has its own sharded
 //!   synchronization). A storage error here aborts the affected
 //!   transaction ([`AbortReason::Server`]) instead of panicking.
-//! * **Log writer** — a dedicated thread owns the WAL tail: it seals the
-//!   active append buffer, writes the sealed shadow segment, and forces
-//!   the written image ([`fgs_pagestore::Wal`]'s stepwise API), each
-//!   cycle coalescing every commit appended since the last one. This
-//!   subsumes the old group-commit gather: batching now comes from the
-//!   writer's natural cycle time instead of timed waits on the request
-//!   path.
 //! * **Completion** — the [`CompletionRouter`] restores the engine's
 //!   order and delivers. A run submits its stamped batch; the batch
 //!   waits until every lower sequence number has been submitted, then
 //!   joins its clients' queues and goes out on the submitting run's
 //!   thread, so every client observes the engine's order even though
 //!   attaches finish out of order. Each commit ack is held until the
-//!   writer's durable watermark passes its LSN, then emitted as
-//!   `CommitDone`; a pending ack is a *barrier* for later messages to
-//!   the same client, so the engine's per-client order survives the
-//!   deferral.
+//!   durable watermark passes its LSN, then emitted as `CommitDone`; a
+//!   pending ack is a *barrier* for later messages to the same client,
+//!   so the engine's per-client order survives the deferral.
+//! * **Durability (force)** — a run that appended commit records makes
+//!   them durable itself: it claims the log force, runs one seal → write
+//!   → force cycle over the WAL tail ([`fgs_pagestore::Wal`]'s staged
+//!   API) and advances the router's durable watermark, delivering the
+//!   acks it released — its own included. One cycle is in flight at a
+//!   time; a run that finds one waits it out, and every commit appended
+//!   meanwhile rides the next cycle together. Group commit needs neither
+//!   a thread nor a timed gather.
 
 use crate::transport::{PortMap, Serve};
 use crate::wire::{SharedBytes, ToClient, ToServer};
 use fgs_core::server::{ServerAction, ServerEngine, ServerStats};
 use fgs_core::sync::{Condvar, Mutex};
 use fgs_core::{AbortReason, ClientId, DataGrant, Oid, PageId, Request, ServerMsg, TxnId};
-use fgs_pagestore::{Lsn, Store, StoreStats};
+use fgs_pagestore::{Lsn, Store, StoreStats, WalHold};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -65,9 +64,6 @@ pub(crate) const DISPATCH_BATCH: usize = 64;
 /// sealed shadow segment is still being written — i.e. the log device
 /// is more than two full buffers behind the workload.
 const APPEND_CAP: usize = 1 << 20;
-
-/// The bit of [`ServerRuntime::runs`] that marks the server closed.
-const CLOSED: usize = 1 << (usize::BITS - 1);
 
 /// The protocol stage: the engine plus the global send-order sequence.
 /// Everything in here is touched only under the one (small) mutex.
@@ -83,10 +79,10 @@ struct ProtocolStage {
 pub(crate) enum OutMsg {
     /// Deliverable as-is (unless queued behind a pending ack).
     Env(ToClient),
-    /// Becomes `CommitDone` once the log writer's durable watermark
-    /// reaches `ack_lsn` (the WAL tail at the owning batch's append
-    /// pre-pass — covering the commit's own records *and* every record
-    /// its reads could depend on).
+    /// Becomes `CommitDone` once the durable watermark reaches `ack_lsn`
+    /// (the WAL tail at the owning batch's append pre-pass — covering the
+    /// commit's own records *and* every record its reads could depend
+    /// on).
     Ack {
         /// The committed transaction.
         txn: TxnId,
@@ -223,59 +219,6 @@ impl PipelineMetrics {
     }
 }
 
-/// Hand-off from the request runs to the dedicated log-writer thread.
-/// Runs append commit records and *register* the batch here
-/// (one lock poke, no waiting); the writer wakes, runs one
-/// seal → write → force cycle over everything registered since its last
-/// cycle, and advances the completion router's durable watermark.
-pub(crate) struct LogWriter {
-    state: Mutex<LogWriterState>,
-    cv: Condvar,
-}
-
-/// The writer's request board. One mutex class of its own (first in the
-/// lock DAG: the writer descends from here into `WalInner` and the
-/// completion router).
-struct LogWriterState {
-    /// Highest watermark any run has asked to become durable (the
-    /// requesting batch's WAL tail).
-    requested: Lsn,
-    /// Commits appended but not yet accounted durable.
-    pending_commits: u64,
-    /// The server is closed: shut down after the final cycle, which
-    /// waits for the runs in flight.
-    stop: bool,
-    /// Run one cycle even with nothing registered. Set when a chaos
-    /// [`WalHold`](fgs_pagestore::WalHold) changes: turns under a hold
-    /// no-op but still count as handled, so only a kick makes the
-    /// writer re-drain (and release parked acks) after the hold lifts.
-    kicked: bool,
-}
-
-impl LogWriter {
-    fn new() -> LogWriter {
-        LogWriter {
-            state: Mutex::new(LogWriterState {
-                requested: 0,
-                pending_commits: 0,
-                stop: false,
-                kicked: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Run side: registers a batch of `commits` appended commit
-    /// records whose durability watermark is `ack_lsn`, and returns
-    /// immediately — the force happens on the writer thread.
-    fn request(&self, ack_lsn: Lsn, commits: u64) {
-        let mut g = self.state.lock();
-        g.requested = g.requested.max(ack_lsn);
-        g.pending_commits += commits;
-        self.cv.notify_one();
-    }
-}
-
 /// What a pending outbound item is waiting for in the completion router.
 /// The per-client queue preserves engine order: a parked ack blocks
 /// everything queued behind it for the same client.
@@ -289,14 +232,19 @@ struct ClientQueue {
 }
 
 /// Router state: the engine-order cursor and the batches parked ahead of
-/// it, the durable watermark as last reported by the log writer, and the
-/// per-client barrier queues.
+/// it, the durable watermark and who is forcing the log toward the next
+/// one, and the per-client barrier queues.
 struct CompletionState {
     /// The next sequence number to move into the client queues.
     next_seq: u64,
     /// Submitted batches whose sequence number is above `next_seq`.
     held: HashMap<u64, Vec<(ClientId, OutMsg)>>,
+    /// The log's durable watermark as of the last finished force cycle.
     durable: Lsn,
+    /// A run holds the log force: it is between its
+    /// [`claim_force`](CompletionRouter::claim_force) and its
+    /// [`advance`](CompletionRouter::advance).
+    forcing: bool,
     clients: HashMap<ClientId, ClientQueue>,
 }
 
@@ -304,11 +252,15 @@ struct CompletionState {
 /// Runs submit batches stamped with the sequence number taken under
 /// [`ProtocolStage`]; a batch joins the per-client queues only once
 /// every lower number has, so each client sees messages in the engine's
-/// order. `CommitDone` for a registered ack is emitted only once the log
-/// writer's durable watermark passes the ack's LSN, preserving the WAL
-/// rule without parking any run. Envelopes that arrive behind a
-/// pending ack wait with it (per-client order); clients with nothing
-/// pending pass straight through to delivery.
+/// order. `CommitDone` for a registered ack is emitted only once the
+/// durable watermark passes the ack's LSN, preserving the WAL rule
+/// without parking the run that submitted it. Envelopes that arrive
+/// behind a pending ack wait with it (per-client order); clients with
+/// nothing pending pass straight through to delivery.
+///
+/// The router also arbitrates the log force, beside the watermark it
+/// gates on: at most one run forces at a time, and runs whose records a
+/// cycle in flight may have missed wait on `forced` for it to end.
 ///
 /// Invariant: `CompletionState` is never held across
 /// [`deliver_batch`](crate::transport::ClientPort::deliver_batch) — a
@@ -316,6 +268,7 @@ struct CompletionState {
 /// deliverers instead.
 pub(crate) struct CompletionRouter {
     state: Mutex<CompletionState>,
+    forced: Condvar,
 }
 
 impl CompletionRouter {
@@ -325,8 +278,10 @@ impl CompletionRouter {
                 next_seq: 0,
                 held: HashMap::new(),
                 durable: 0,
+                forcing: false,
                 clients: HashMap::new(),
             }),
+            forced: Condvar::new(),
         }
     }
 
@@ -367,12 +322,39 @@ impl CompletionRouter {
         }
     }
 
-    /// Log-writer side: advances the durable watermark and delivers every
-    /// newly releasable prefix.
-    pub(crate) fn advance(&self, durable: Lsn, ports: &PortMap, metrics: &PipelineMetrics) {
+    /// Forcer side: claims the log force for watermark `target`. While
+    /// another run forces, waits for its cycle to end. Returns `None` once
+    /// the durable watermark covers `target` — the cycle that covered it
+    /// delivers what it released — and otherwise takes the force and
+    /// returns the watermark it starts from; the caller runs one cycle and
+    /// ends the claim with [`advance`](Self::advance).
+    ///
+    /// A run waits out at most two cycles: the one in flight may have
+    /// sealed the tail before this run appended, but any cycle claimed
+    /// after it seals this run's records too.
+    fn claim_force(&self, target: Lsn) -> Option<Lsn> {
+        let mut g = self.state.lock();
+        while g.forcing && g.durable < target {
+            self.forced.wait(&mut g);
+        }
+        if g.durable >= target {
+            return None;
+        }
+        g.forcing = true;
+        Some(g.durable)
+    }
+
+    /// Forcer side: ends a claimed force at watermark `durable`, waking
+    /// the runs that wait on it, and delivers every newly releasable
+    /// prefix on the calling thread. A run that forces therefore never
+    /// delivers while it holds the force: a client that answers a
+    /// delivery with a commit may claim the force in turn.
+    fn advance(&self, durable: Lsn, ports: &PortMap, metrics: &PipelineMetrics) {
         let clients: Vec<ClientId> = {
             let mut g = self.state.lock();
             g.durable = g.durable.max(durable);
+            g.forcing = false;
+            self.forced.notify_all();
             g.clients
                 .iter()
                 .filter(|(_, q)| !q.pending.is_empty())
@@ -474,19 +456,23 @@ impl CompletionRouter {
     }
 }
 
-/// State shared between the request runs, the log writer, the
-/// transports and the introspection APIs.
+/// State shared between the request runs, the transports and the
+/// introspection APIs.
 pub(crate) struct ServerRuntime {
     protocol: Mutex<ProtocolStage>,
     store: Store,
-    writer: LogWriter,
     completion: CompletionRouter,
     /// Live client ports, resolved per delivery, so TCP clients may come
     /// and go without the pipeline noticing.
     ports: Arc<PortMap>,
     metrics: PipelineMetrics,
-    /// Runs in flight, plus [`CLOSED`] once the server is closed.
-    runs: AtomicUsize,
+    /// Commits whose record is appended but not yet accounted durable.
+    /// Counted before the record is appended, and taken by the first
+    /// cycle that moves the durable watermark, so each commit is counted
+    /// exactly once, by the force that covered it or an earlier one.
+    pending_commits: AtomicU64,
+    /// Refuses every later run.
+    closed: AtomicBool,
     /// Run engine invariant checks after every batch even in release.
     paranoid: bool,
 }
@@ -513,11 +499,11 @@ impl ServerRuntime {
                 next_seq: 0,
             }),
             store,
-            writer: LogWriter::new(),
             completion: CompletionRouter::new(),
             ports: Arc::new(PortMap::new(port_limit)),
             metrics: PipelineMetrics::new(),
-            runs: AtomicUsize::new(0),
+            pending_commits: AtomicU64::new(0),
+            closed: AtomicBool::new(false),
             paranoid,
         }
     }
@@ -547,77 +533,60 @@ impl ServerRuntime {
         stats
     }
 
-    // -- the log-writer stage -------------------------------------------
+    // -- the log force --------------------------------------------------
 
-    /// One turn of the log-writer thread: parks until runs register
-    /// appended commits, then runs one seal → write → force cycle over
-    /// everything registered since the last turn (the double-buffered
-    /// WAL tail lets appends continue meanwhile) and accounts the
-    /// cycle's commits. Returns the durable watermark and whether this
-    /// was the final (stop) turn.
+    /// Forces the log through watermark `target` on the calling thread:
+    /// claims the force ([`CompletionRouter::claim_force`]), runs one
+    /// seal → write → force cycle over the WAL tail and accounts the
+    /// commits it made durable. Returns the watermark the caller must
+    /// [`advance`](CompletionRouter::advance) the router to, which ends
+    /// the claim and delivers; `None` when another run's cycle covered
+    /// `target`.
     ///
-    /// The writer never holds a cycle open waiting for more arrivals:
-    /// coalescing comes from the double buffering itself — every commit
-    /// appended while the previous cycle was writing, forcing, or
-    /// delivering acks lands in the next cycle as one batch. A timed
-    /// gather here taxes every commit's ack with the wait (and convoys
-    /// badly in closed-loop workloads, where the clients whose acks it
-    /// withholds are exactly the ones who would supply the next commit).
-    fn writer_turn(&self, handled: &mut Lsn, carried: &mut u64) -> (Lsn, bool) {
+    /// One cycle per call and never a timed gather: coalescing comes from
+    /// the double-buffered tail — every commit appended while a cycle is
+    /// in flight rides the next one. A gather would tax every ack with
+    /// the wait and convoy closed-loop workloads, whose withheld clients
+    /// are the ones who would supply the next commit. Under a chaos hold
+    /// the cycle makes no progress and the acks stay parked until
+    /// [`set_wal_hold`](Self::set_wal_hold) changes it.
+    fn force(&self, target: Lsn) -> Option<Lsn> {
+        let from = self.completion.claim_force(target)?;
         let wal = self.store.wal();
-        let (target, commits, stop) = {
-            let mut g = self.writer.state.lock();
-            while !g.stop && !g.kicked && g.requested <= *handled && g.pending_commits == 0 {
-                self.writer.cv.wait(&mut g);
-            }
-            // The final cycle covers every run the closed server admitted;
-            // the last one out kicks.
-            while g.stop && self.runs.load(Ordering::Acquire) != CLOSED {
-                self.writer.cv.wait(&mut g);
-            }
-            g.kicked = false;
-            (g.requested, std::mem::take(&mut g.pending_commits), g.stop)
-        };
         let before = wal.flushed();
-        // One cycle: seal the active buffer, write the shadow
-        // segment, force the written image. Under a chaos hold each
-        // step no-ops and the watermark simply stays put.
         wal.seal();
         wal.write_sealed();
         let durable = wal.force_written();
-        // Commits are accounted when the watermark covers their
-        // registration target, not when they are taken off the board:
-        // turns frozen by a chaos hold carry their commits forward, so
-        // everything parked behind a hold lands in the stats as the one
-        // coalesced cycle that actually made it durable.
-        *carried += commits;
-        if *carried > 0 && durable >= target {
-            self.store
-                .account_durable(std::mem::take(carried), durable > before);
+        if durable > from {
+            let commits = self.pending_commits.swap(0, Ordering::Relaxed);
+            if commits > 0 {
+                self.store.account_durable(commits, durable > before);
+            }
         }
-        // A turn "handles" everything requested before it — even
-        // under a chaos hold, where the watermark stays put (the
-        // acks stay parked; re-requested or released on the final
-        // cycle) — so a frozen writer parks instead of spinning.
-        *handled = (*handled).max(target);
-        (durable, stop)
+        Some(durable)
     }
 
-    /// Closes the server: every later run is refused, and the log-writer
-    /// thread, once the runs in flight finish, takes a final catch-up
-    /// cycle and exits (the embedding joins it afterwards).
+    /// Forces the log through `target` and delivers what that releases,
+    /// on the calling thread.
+    fn make_durable(&self, target: Lsn) {
+        if let Some(durable) = self.force(target) {
+            self.completion.advance(durable, &self.ports, &self.metrics);
+        }
+    }
+
+    /// Engages (or clears) a chaos [`WalHold`], then catches up: a cycle
+    /// under a hold leaves its acks parked, so every change forces what
+    /// it can and delivers the acks that became durable — under a hold,
+    /// those a synchronous flush (a checkpoint) covered.
+    pub(crate) fn set_wal_hold(&self, hold: WalHold) {
+        self.store.wal().set_hold(hold);
+        self.make_durable(self.store.wal().len());
+    }
+
+    /// Closes the server: every later run is refused. Runs in flight
+    /// finish on their own threads, each forcing its own commits.
     pub(crate) fn close(&self) {
-        self.runs.fetch_or(CLOSED, Ordering::AcqRel);
-        self.writer.state.lock().stop = true;
-        self.writer.cv.notify_one();
-    }
-
-    /// Forces one writer cycle regardless of registered work — the
-    /// chaos harness calls this when it changes the WAL hold, so the
-    /// writer re-drains (releasing parked acks) once a hold lifts.
-    pub(crate) fn kick_log_writer(&self) {
-        self.writer.state.lock().kicked = true;
-        self.writer.cv.notify_one();
+        self.closed.store(true, Ordering::Release);
     }
 
     // -- the request pipeline -----------------------------------------
@@ -629,15 +598,14 @@ impl ServerRuntime {
     /// protocol-lock acquisition, one sequence number and one invariant
     /// sample. Durability first — but only the *append* half: every
     /// commit's updates are installed and its commit record appended
-    /// before the engine releases any lock, then the batch's watermark
-    /// (the WAL tail, covering the appended records *and* everything any
-    /// read-only commit in the batch could have read) is registered
-    /// with the log writer. The run never waits for the force; the
-    /// acks are parked in the completion router until the writer's
-    /// durable watermark passes the registered LSN. Then the protocol
+    /// before the engine releases any lock, and the batch's watermark is
+    /// the WAL tail, covering the appended records *and* everything any
+    /// read-only commit in the batch could have read. Then the protocol
     /// stage replays the batch in arrival order under a single lock
     /// hold, and the dispatch stage attaches payloads outside it and
-    /// submits the batch for delivery.
+    /// submits the batch, whose acks park in the completion router.
+    /// Last, a batch with commits forces the log through its watermark
+    /// ([`force`](Self::force)) and delivers the acks that released.
     fn handle_batch(&self, batch: Vec<ToServer>) {
         let t_start = Instant::now();
         PipelineMetrics::add(&self.metrics.dispatch_batches, 1);
@@ -646,7 +614,6 @@ impl ServerRuntime {
         // Durability stage: install + append, no force.
         let mut steps: Vec<Step> = Vec::with_capacity(batch.len());
         let mut commits = 0u64;
-        let mut data_commits = 0u64;
         for env in batch {
             match env {
                 ToServer::Disconnect { from } => steps.push(Step::Gone(from)),
@@ -662,17 +629,13 @@ impl ServerRuntime {
                         // the batch watermark so every commit their
                         // reads observed is durable first.
                         if !commit_data.is_empty() {
-                            match self.install_commit_data(*txn, &commit_data) {
-                                Ok(_lsn) => data_commits += 1,
-                                Err(e) => {
-                                    eprintln!(
-                                        "fgs-server: commit install for {txn} failed: {e}; \
-                                         aborting"
-                                    );
-                                    commits -= 1; // not a commit any more
-                                    steps.push(Step::ServerAbort(*txn));
-                                    continue;
-                                }
+                            if let Err(e) = self.install_commit_data(*txn, &commit_data) {
+                                eprintln!(
+                                    "fgs-server: commit install for {txn} failed: {e}; aborting"
+                                );
+                                commits -= 1; // not a commit any more
+                                steps.push(Step::ServerAbort(*txn));
+                                continue;
                             }
                         }
                     }
@@ -684,9 +647,7 @@ impl ServerRuntime {
         // everything its commits' reads depend on sits at or below the
         // tail right now.
         let ack_lsn = if commits > 0 {
-            let tail = self.store.wal().len();
-            self.writer.request(tail, data_commits);
-            tail
+            self.store.wal().len()
         } else {
             0
         };
@@ -725,11 +686,24 @@ impl ServerRuntime {
 
         // Dispatch stage: attach payloads outside the lock, deliver.
         self.dispatch(actions, seq, ack_lsn, t_start);
+        let t_dispatched = Instant::now();
+
+        // Durability stage, force half: make the batch's acks durable,
+        // then deliver them (and whatever else the force released).
+        let durable = if commits > 0 {
+            self.force(ack_lsn)
+        } else {
+            None
+        };
+        let t_forced = Instant::now();
+        if let Some(durable) = durable {
+            self.completion.advance(durable, &self.ports, &self.metrics);
+        }
 
         let t_done = Instant::now();
         PipelineMetrics::add(
             &self.metrics.durability_ns,
-            (t_durable - t_start).as_nanos() as u64,
+            ((t_durable - t_start) + (t_forced - t_dispatched)).as_nanos() as u64,
         );
         PipelineMetrics::add(
             &self.metrics.protocol_ns,
@@ -737,18 +711,17 @@ impl ServerRuntime {
         );
         PipelineMetrics::add(
             &self.metrics.dispatch_ns,
-            (t_done - t_protocol).as_nanos() as u64,
+            ((t_dispatched - t_protocol) + (t_done - t_forced)).as_nanos() as u64,
         );
     }
 
-    /// Installs a commit's dirty objects and appends its commit record,
-    /// returning the record's LSN. On an install error the store-side
-    /// updates are rolled back.
+    /// Installs a commit's dirty objects and appends its commit record.
+    /// On an install error the store-side updates are rolled back.
     fn install_commit_data(
         &self,
         txn: TxnId,
         commit_data: &[(fgs_core::Oid, Vec<u8>)],
-    ) -> std::io::Result<Lsn> {
+    ) -> std::io::Result<()> {
         self.store.begin(txn);
         for (oid, bytes) in commit_data {
             if let Err(e) = retry_io(|| self.store.update_object(txn, *oid, bytes)) {
@@ -758,7 +731,11 @@ impl ServerRuntime {
                 return Err(e);
             }
         }
-        Ok(self.store.append_commit(txn))
+        // Counted before the record is appended, so the first cycle that
+        // forces the record durable finds the count (see `force`).
+        self.pending_commits.fetch_add(1, Ordering::Relaxed);
+        self.store.append_commit(txn);
+        Ok(())
     }
 
     /// Attach + delivery stage: copies data payloads out of the store
@@ -890,23 +867,18 @@ impl ServerRuntime {
 
 /// A run may deliver to clients that answer with requests of their own,
 /// which this thread then runs too; the nesting is bounded by the client
-/// count, as a client's outbox has one server at a time. The log writer
-/// runs the replies its deliveries produce this way without ever
-/// blocking on itself: an append waits only for a sealed segment with no
-/// [`WalHold`](fgs_pagestore::WalHold), which only the writer's own
-/// seal → write step leaves, and it delivers after that step.
+/// count, as a client's outbox has one server at a time. A nested run
+/// never waits on its own thread: a run delivers only after it has given
+/// up the log force ([`CompletionRouter::advance`]), and an append waits
+/// only for a sealed segment with no [`WalHold`], which only a forcing
+/// run's seal → write step leaves, with no delivery in between.
 impl Serve for ServerRuntime {
     fn serve(&self, batch: Vec<ToServer>) -> bool {
-        let admitted = self.runs.fetch_add(1, Ordering::AcqRel) & CLOSED == 0;
-        if admitted {
-            self.handle_batch(batch);
+        if self.closed.load(Ordering::Acquire) {
+            return false;
         }
-        if self.runs.fetch_sub(1, Ordering::AcqRel) == CLOSED | 1 {
-            // The last run out of a closed server: the writer's final
-            // cycle may go.
-            self.kick_log_writer();
-        }
-        admitted
+        self.handle_batch(batch);
+        true
     }
 }
 
@@ -924,27 +896,6 @@ fn retry_io<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T>
         }
     }
     Err(last.expect("at least one attempt"))
-}
-
-/// The durability stage's thread body: the dedicated log writer. Each
-/// turn coalesces every commit registered since the last one into a
-/// single seal → write → force cycle, then advances the completion
-/// router's durable watermark — releasing parked commit acks through
-/// the normal delivery path. Runs until [`ServerRuntime::close`],
-/// finishing with one final cycle so every registered commit is durable
-/// and acked before exit.
-pub(crate) fn log_writer_loop(runtime: &ServerRuntime) {
-    let mut handled: Lsn = 0;
-    let mut carried: u64 = 0;
-    loop {
-        let (durable, stop) = runtime.writer_turn(&mut handled, &mut carried);
-        runtime
-            .completion
-            .advance(durable, &runtime.ports, &runtime.metrics);
-        if stop {
-            return;
-        }
-    }
 }
 
 /// The completion router on its own, deterministically: engine order
@@ -1096,14 +1047,15 @@ mod tests {
     }
 }
 
-/// Model checking for the asynchronous durability pipeline, run only
-/// under `RUSTFLAGS="--cfg loom"` (see DESIGN.md §"Lock ordering and
-/// concurrency invariants"). The [`LogWriter`] and [`CompletionRouter`]
-/// mutexes and condvar resolve to `loom::sync` types through
+/// Model checking for committer-forced durability, run only under
+/// `RUSTFLAGS="--cfg loom"` (see DESIGN.md §"Lock ordering and
+/// concurrency invariants"). The [`CompletionRouter`] mutex and its
+/// `forced` condvar resolve to `loom::sync` types through
 /// [`fgs_core::sync`], so the explored schedules drive the production
-/// paths: append + request hand-off, the writer's seal/write/force
-/// cycle, watermark advancement, and the router's reorder and barrier
-/// queues with the out-of-lock delivery protocol.
+/// paths: append and commit counting, the force claim, the
+/// seal/write/force cycle, watermark advancement, hold changes and their
+/// catch-up, and the router's reorder and barrier queues with the
+/// out-of-lock delivery protocol.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
@@ -1145,7 +1097,7 @@ mod loom_tests {
     /// A runtime whose clients `0..n` all deliver to one checking port.
     fn runtime(n: u16) -> (Arc<ServerRuntime>, Arc<AckCheckPort>) {
         // Commit forcing never touches data pages; an empty store is
-        // enough, and no engine state is exercised by the writer/router.
+        // enough, and no engine state is exercised by the force/router.
         let store = Store::new(Arc::new(MemDisk::new(256)), 8, 1000);
         let engine = ServerEngine::new(Protocol::Ps, 8);
         let rt = Arc::new(ServerRuntime::new(engine, store, false, n));
@@ -1161,71 +1113,73 @@ mod loom_tests {
         (rt, port)
     }
 
-    fn spawn_writer(rt: &Arc<ServerRuntime>) -> thread::JoinHandle<()> {
-        let rt = Arc::clone(rt);
-        thread::spawn(move || log_writer_loop(&rt))
-    }
-
-    /// Appends `txn`'s commit record and returns its ack, registered
-    /// with the checking port and the writer as a run would.
-    fn append_ack(rt: &ServerRuntime, port: &AckCheckPort, txn: TxnId) -> OutMsg {
-        rt.store().begin(txn);
-        rt.store().append_commit(txn);
+    /// Installs `txn` (no objects) and appends its commit record as a
+    /// run's durability pre-pass does, and returns its ack, registered
+    /// with the checking port, with its watermark.
+    fn append_ack(rt: &ServerRuntime, port: &AckCheckPort, txn: TxnId) -> (OutMsg, Lsn) {
+        rt.install_commit_data(txn, &[]).unwrap();
         let ack_lsn = rt.store().wal().len();
         port.expect.lock().push((txn, ack_lsn));
-        rt.writer.request(ack_lsn, 1);
-        OutMsg::Ack {
+        let ack = OutMsg::Ack {
             txn,
             ack_lsn,
             t0: Instant::now(),
-        }
+        };
+        (ack, ack_lsn)
     }
 
-    /// N concurrent committers append + register + take a sequence
-    /// number + submit their ack; the dedicated writer cycles until
-    /// stopped. Every ack must be delivered, only after its watermark,
-    /// and accounted exactly once.
-    fn run_pipeline(n: u16) {
-        let (rt, port) = runtime(n);
-        let writer = spawn_writer(&rt);
-        let committers: Vec<_> = (0..n)
-            .map(|c| {
-                let rt = Arc::clone(&rt);
-                let port = Arc::clone(&port);
-                thread::spawn(move || {
-                    let ack = append_ack(&rt, &port, TxnId::new(ClientId(c), 1));
-                    let seq = {
-                        let mut g = rt.protocol.lock();
-                        g.next_seq += 1;
-                        g.next_seq - 1
-                    };
-                    rt.completion.submit_batch(
-                        seq,
-                        vec![(ClientId(c), ack)],
-                        &rt.ports,
-                        &rt.metrics,
-                    );
-                })
-            })
-            .collect();
-        for t in committers {
-            t.join().unwrap();
-        }
-        rt.close();
-        writer.join().unwrap();
+    /// A committer for client `c`: appends, takes a sequence number,
+    /// submits its ack and forces through its watermark, as a run does.
+    fn spawn_committer(
+        rt: &Arc<ServerRuntime>,
+        port: &Arc<AckCheckPort>,
+        c: u16,
+    ) -> thread::JoinHandle<()> {
+        let (rt, port) = (Arc::clone(rt), Arc::clone(port));
+        thread::spawn(move || {
+            let (ack, ack_lsn) = append_ack(&rt, &port, TxnId::new(ClientId(c), 1));
+            let seq = {
+                let mut g = rt.protocol.lock();
+                g.next_seq += 1;
+                g.next_seq - 1
+            };
+            rt.completion
+                .submit_batch(seq, vec![(ClientId(c), ack)], &rt.ports, &rt.metrics);
+            rt.make_durable(ack_lsn);
+        })
+    }
+
+    /// After every thread is done: each of `n` acks delivered, each
+    /// commit counted once, at most `max_forces` physical forces, and
+    /// the whole log durable — no commit stranded behind a force nobody
+    /// ran.
+    fn assert_settled(rt: &ServerRuntime, port: &AckCheckPort, n: u16, max_forces: u64) {
         let delivered = port.delivered.lock();
         assert_eq!(delivered.len(), usize::from(n), "every ack delivered");
         let stats = rt.store().stats();
         assert_eq!(stats.commits, u64::from(n), "each commit counted once");
         assert!(
-            stats.log_forces <= u64::from(n),
-            "coalescing never forces more than once per commit"
+            stats.log_forces <= max_forces,
+            "{} forces for {n} commits",
+            stats.log_forces
         );
         assert_eq!(
             rt.store().wal().flushed(),
             rt.store().wal().len(),
-            "final writer cycle forced everything"
+            "the committers' forces left a tail"
         );
+    }
+
+    /// N concurrent committers, each forcing its own commit: every ack is
+    /// delivered, only after its watermark, and accounted exactly once.
+    fn run_pipeline(n: u16) {
+        let (rt, port) = runtime(n);
+        let committers: Vec<_> = (0..n).map(|c| spawn_committer(&rt, &port, c)).collect();
+        for t in committers {
+            t.join().unwrap();
+        }
+        // Each run forces at most once, for its own records.
+        assert_settled(&rt, &port, n, u64::from(n));
     }
 
     #[test]
@@ -1238,9 +1192,41 @@ mod loom_tests {
         loom::model(|| run_pipeline(1));
     }
 
+    /// Two committers race a thread that engages a hold and releases it.
+    /// A cycle under the hold makes no progress and leaves its acks
+    /// parked; the release's catch-up must deliver them, and no ack may
+    /// go out before its watermark whichever way the three interleave.
+    #[test]
+    fn a_hold_change_neither_leaks_nor_strands_an_ack() {
+        for hold in [
+            WalHold::BeforeSeal,
+            WalHold::BeforeWrite,
+            WalHold::BeforeForce,
+        ] {
+            loom::model(move || {
+                let (rt, port) = runtime(2);
+                let committers: Vec<_> = (0..2).map(|c| spawn_committer(&rt, &port, c)).collect();
+                let holder = {
+                    let rt = Arc::clone(&rt);
+                    thread::spawn(move || {
+                        rt.set_wal_hold(hold);
+                        rt.set_wal_hold(WalHold::None);
+                    })
+                };
+                holder.join().unwrap();
+                for t in committers {
+                    t.join().unwrap();
+                }
+                // The release's catch-up may force once more (a record
+                // appended mid-install, say), the engaging one never.
+                assert_settled(&rt, &port, 2, 3);
+            });
+        }
+    }
+
     /// Two runs submit seq 0 (an envelope, then an ack) and seq 1 (an
-    /// envelope) to the same client concurrently while the writer
-    /// advances the watermark. Whichever submit lands first and
+    /// envelope) to the same client concurrently while a third committer
+    /// forces the log past the ack. Whichever submit lands first and
     /// whichever thread ends up delivering, the client must see all
     /// three messages in seq order, the ack only once durable.
     #[test]
@@ -1248,7 +1234,7 @@ mod loom_tests {
         loom::model(|| {
             let (rt, port) = runtime(1);
             let client = ClientId(0);
-            let ack = append_ack(&rt, &port, TxnId::new(client, 2));
+            let (ack, ack_lsn) = append_ack(&rt, &port, TxnId::new(client, 2));
             let env = |n| ToClient {
                 msg: ServerMsg::AbortDone {
                     txn: TxnId::new(client, n),
@@ -1256,7 +1242,6 @@ mod loom_tests {
                 page_image: None,
                 object_bytes: None,
             };
-            let writer = spawn_writer(&rt);
             let submit = |seq: u64, msgs: Vec<OutMsg>| {
                 let rt = Arc::clone(&rt);
                 let msgs: Vec<_> = msgs.into_iter().map(|m| (client, m)).collect();
@@ -1267,10 +1252,13 @@ mod loom_tests {
             };
             let second = submit(1, vec![OutMsg::Env(env(3))]);
             let first = submit(0, vec![OutMsg::Env(env(1)), ack]);
+            let forcer = {
+                let rt = Arc::clone(&rt);
+                thread::spawn(move || rt.make_durable(ack_lsn))
+            };
             first.join().unwrap();
             second.join().unwrap();
-            rt.close();
-            writer.join().unwrap();
+            forcer.join().unwrap();
             let seen: Vec<u64> = port
                 .delivered
                 .lock()

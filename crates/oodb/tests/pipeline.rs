@@ -1,11 +1,11 @@
-//! Tests of the pipelined server runtime: group commit under
-//! concurrency, a log writer that never stalls the request path (nor is
-//! stalled by it), server-initiated aborts on storage failures, and
-//! crash recovery from a snapshot taken mid-group-commit.
+//! Tests of the pipelined server runtime: group commit of commits held
+//! behind one force, a parked force that never stalls the request path,
+//! deliveries made by a hold change, server-initiated aborts on storage
+//! failures, and crash recovery from a snapshot taken mid-group-commit.
 
 use fgs_core::{Oid, PageId, Protocol};
 use fgs_oodb::{EngineConfig, Oodb, TxnError, WalHold};
-use fgs_pagestore::{DiskManager, MemDisk};
+use fgs_pagestore::{DiskManager, LogRecord, MemDisk, Wal};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,15 +38,31 @@ fn encode(version: u64) -> Vec<u8> {
     v
 }
 
+/// Commit records appended to the log so far, durable or not.
+fn logged_commits(db: &Oodb) -> usize {
+    Wal::from_bytes(db.crash_log(usize::MAX))
+        .replay()
+        .iter()
+        .filter(|(_, rec)| matches!(rec, LogRecord::Commit { .. }))
+        .count()
+}
+
 /// Eight sessions of mixed read/write transactions, each running its own
 /// requests through the server: the version-counter oracle proves serializability
-/// (strict 2PL means counters never regress or skip), and the store's
-/// commit counters prove that concurrent commits from distinct clients
-/// were made durable by batched (group) log forces.
+/// (strict 2PL means counters never regress or skip). Then four commits
+/// held behind a frozen force must be made durable, and counted, as one
+/// group commit: one force, four commits, three of them piggybacked.
 #[test]
 fn pipelined_server_is_serializable_and_group_commits() {
+    /// Clients whose commits are held, each on a page of its own beyond
+    /// the four the first phase shares.
+    const HELD: u16 = 4;
     for protocol in [Protocol::Ps, Protocol::PsAa] {
-        let db = Arc::new(Oodb::open(config(protocol)).unwrap());
+        let config = EngineConfig {
+            db_pages: 4 + u32::from(HELD),
+            ..config(protocol)
+        };
+        let db = Arc::new(Oodb::open(config).unwrap());
         let objects: Vec<Oid> = (0..4)
             .flat_map(|p| (0..8).map(move |s| Oid::new(PageId(p), s)))
             .collect();
@@ -102,26 +118,32 @@ fn pipelined_server_is_serializable_and_group_commits() {
         );
         db.check_server_invariants();
 
-        // Deterministic coalescing evidence: park the log writer behind
-        // a chaos hold, let four clients append their commit records
+        // Deterministic coalescing evidence: park the log force behind a
+        // chaos hold, let four clients append their commit records
         // (appends never block under a hold; the acks park in the
         // completion router), then release — the parked commits become
-        // durable, and are accounted, as one forced writer cycle.
+        // durable, and are accounted, as one forced cycle. Each held
+        // client writes a page nobody else caches, so no callback queues
+        // behind a parked ack and all four commits reach the log.
+        let before = db.store_stats();
+        let logged = logged_commits(&db);
         db.wal_hold(WalHold::BeforeSeal);
         std::thread::scope(|scope| {
-            for t in 0..4u16 {
+            for t in 0..HELD {
                 let db = db.clone();
                 scope.spawn(move || {
                     let s = db.session(t);
                     s.run_txn(100, |txn| {
-                        let o = Oid::new(PageId(u32::from(t)), 0);
+                        let o = Oid::new(PageId(4 + u32::from(t)), 0);
                         let v = decode(&txn.read(o)?);
                         txn.write(o, encode(v + 1))
                     })
                     .unwrap_or_else(|e| panic!("{protocol}: held commit: {e}"));
                 });
             }
-            std::thread::sleep(std::time::Duration::from_millis(200));
+            while logged_commits(&db) < logged + usize::from(HELD) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
             db.wal_hold(WalHold::None);
         });
 
@@ -130,19 +152,17 @@ fn pipelined_server_is_serializable_and_group_commits() {
             stats.commits >= u64::from(CLIENTS),
             "{protocol}: every writer committed at least once ({stats:?})"
         );
-        assert!(
-            stats.group_commit_batches >= 1,
-            "{protocol}: concurrent commits never coalesced into one \
-             log force ({stats:?})"
-        );
-        assert!(
-            stats.piggybacked_commits >= 1,
-            "{protocol}: no commit ever piggybacked on another's force ({stats:?})"
-        );
-        assert!(
-            stats.log_forces < stats.commits,
-            "{protocol}: group commit must force fewer times than it \
-             commits ({stats:?})"
+        let held = u64::from(HELD);
+        assert_eq!(
+            (
+                stats.commits - before.commits,
+                stats.group_commit_batches - before.group_commit_batches,
+                stats.piggybacked_commits - before.piggybacked_commits,
+                stats.log_forces - before.log_forces,
+            ),
+            (held, 1, held - 1, 1),
+            "{protocol}: the held commits were not made durable as one \
+             forced cycle (before {before:?}, after {stats:?})"
         );
     }
 }
@@ -186,17 +206,18 @@ fn a_commit_parked_on_the_force_does_not_stall_the_server() {
     db.shutdown();
 }
 
-/// The log writer never blocks inside a run. Under `BeforeWrite`,
-/// client 0's commit parks on the force, and the callback client 1's
-/// write sends to client 0 (which caches the page) queues behind that
-/// ack. A checkpoint forces the log synchronously — holds never gate it
-/// — and re-engaging the hold kicks the writer: its turn releases the ack
-/// and the callback on the log-writer thread, client 0 answers the
-/// callback there, and that reply is served with the hold still engaged,
-/// so client 1's write goes through. Releasing the hold then acks client
-/// 1's commit, parked under it.
+/// The thread that changes a hold delivers, and serves the replies its
+/// delivery produces. Under `BeforeWrite`, client 0's commit parks on the
+/// force, and the callback client 1's write sends to client 0 (which
+/// caches the page) queues behind that ack. A checkpoint forces the log
+/// synchronously — holds never gate it — and re-engaging the hold
+/// catches up on the calling thread: it releases the ack and the
+/// callback there, client 0 answers the callback there, and that reply
+/// is served with the hold still engaged, so client 1's write goes
+/// through. Releasing the hold then acks client 1's commit, parked
+/// under it.
 #[test]
-fn a_callback_reply_produced_by_a_log_writer_delivery_is_served() {
+fn a_callback_reply_produced_by_a_hold_change_delivery_is_served() {
     let db = Oodb::open(config(Protocol::PsAa)).unwrap();
     let x = Oid::new(PageId(0), 0);
     let (a, b) = (db.session(0), db.session(1));
@@ -354,16 +375,20 @@ fn crash_mid_group_commit_recovers_forced_batches() {
     let acked = Arc::new(acked);
     let stop = Arc::new(AtomicBool::new(false));
 
-    // Park the log writer so every client's first commit coalesces into
-    // one forced cycle when the hold lifts — deterministic group-commit
-    // evidence for the assertion below.
+    // Park the log force, let the first four writers append their first
+    // commits behind it, then release: the four become durable as one
+    // forced cycle — deterministic group-commit evidence for the
+    // assertion below. They write pages 0-3, whose one-frame pool shards
+    // hold only clean pages until then, so no steal forces the log under
+    // the hold. The other four writers join after the release.
+    let logged = logged_commits(&db);
     db.wal_hold(WalHold::BeforeSeal);
     let (snap_acked, snap_disk, snap_log) = std::thread::scope(|scope| {
-        for c in 0..CLIENTS {
+        let writer = |c: u16| {
             let db = db.clone();
             let acked = acked.clone();
             let stop = stop.clone();
-            scope.spawn(move || {
+            move || {
                 // Client `c` is the only writer of page `c`, slot 0, and
                 // stamps strictly increasing generations into it.
                 let s = db.session(c);
@@ -375,10 +400,19 @@ fn crash_mid_group_commit_recovers_forced_batches() {
                     acked[c as usize].store(generation, Ordering::Release);
                     generation += 1;
                 }
-            });
+            }
+        };
+        const HELD: u16 = CLIENTS / 2;
+        for c in 0..HELD {
+            scope.spawn(writer(c));
         }
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        while logged_commits(&db) < logged + usize::from(HELD) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         db.wal_hold(WalHold::None);
+        for c in HELD..CLIENTS {
+            scope.spawn(writer(c));
+        }
         // Let every writer commit a few times, then snapshot mid-flight.
         while acked.iter().any(|a| a.load(Ordering::Acquire) < 3) {
             std::thread::yield_now();

@@ -35,7 +35,7 @@ pub struct FaultPlan {
     /// Where to park the staged WAL pipeline when the harness draws the
     /// crash line (see [`WalHold`]): the crash image is captured with
     /// the log tail frozen at this stage boundary. [`WalHold::None`]
-    /// crashes with whatever the writer happened to have drained.
+    /// crashes with whatever the force cycles happened to have drained.
     pub wal_hold: WalHold,
 }
 

@@ -42,15 +42,15 @@ pub use store::{Store, StoreStats};
 pub use wal::{LogRecord, Lsn, Wal, WalHold};
 
 /// Helpers for tests and examples that drive a [`Store`] directly,
-/// without the server runtime's log-writer stage.
+/// without the server runtime's staged log force.
 pub mod test_support {
     use crate::Store;
     use fgs_core::TxnId;
 
     /// Commits `txn` synchronously: appends its commit record and
     /// flushes the log through it, so the commit is durable on return.
-    /// The server never does this — its workers append and a dedicated
-    /// log writer forces — so it does not count in
+    /// The server never does this — its runs append, then force through
+    /// the staged cycle — so it does not count in
     /// [`StoreStats::commits`](crate::StoreStats::commits).
     pub fn commit_durably(store: &Store, txn: TxnId) {
         store.append_commit(txn);

@@ -25,21 +25,26 @@ pub struct StoreStats {
     pub commits: u64,
     /// Physical log forces that covered the commit record of more than
     /// one transaction — i.e. batched (group) commits. Each such force
-    /// saved at least one fsync versus commit-at-a-time.
+    /// saved at least one fsync versus commit-at-a-time. In the server a
+    /// force is a committing run's seal → write → force cycle, so a
+    /// group is the commits appended while the previous cycle was in
+    /// flight.
     pub group_commit_batches: u64,
     /// Commit records made durable by a force issued on behalf of some
     /// *other* transaction (the group-commit followers).
     pub piggybacked_commits: u64,
     /// Total physical log forces (any cause, including steals).
     pub log_forces: u64,
-    /// Nanoseconds the server workers spent in the durability stage
-    /// (commit install + group-committed log force).
+    /// Nanoseconds request runs spent in the durability stage: commit
+    /// install and append, plus claiming and running the log force
+    /// (waiting out a cycle in flight included).
     pub durability_ns: u64,
-    /// Nanoseconds the server workers spent in the protocol stage (lock
-    /// wait + engine transitions under the guard).
+    /// Nanoseconds request runs spent in the protocol stage (lock wait +
+    /// engine transitions under the guard).
     pub protocol_ns: u64,
-    /// Nanoseconds the server workers spent in the dispatch stage
-    /// (payload attach + ordered delivery through the completion router).
+    /// Nanoseconds request runs spent in the dispatch stage: payload
+    /// attach and ordered delivery through the completion router, the
+    /// acks a run's force released included.
     pub dispatch_ns: u64,
     /// Nanoseconds spent *waiting* to acquire the protocol-stage lock.
     pub lock_wait_ns: u64,
@@ -54,7 +59,7 @@ pub struct StoreStats {
     pub commit_p99_us: u64,
     /// Commits sampled into the latency histogram.
     pub commit_latency_samples: u64,
-    /// Inbound batches drained by the server workers (one protocol-lock
+    /// Inbound batches run through the server (one protocol-lock
     /// acquisition and one sequence number each).
     pub dispatch_batches: u64,
     /// Messages across all inbound batches (`/ dispatch_batches` = mean
@@ -65,15 +70,15 @@ pub struct StoreStats {
     pub send_batches: u64,
     /// Envelopes across all send batches.
     pub send_batch_msgs: u64,
-    /// Active-buffer seals performed by the dedicated log writer (zero
-    /// for stores driven through the synchronous force paths).
+    /// Active-buffer seals performed by the staged force cycle (zero for
+    /// stores driven through the synchronous force paths).
     pub wal_seals: u64,
-    /// Sealed-segment device writes performed by the dedicated log
-    /// writer.
+    /// Sealed-segment device writes performed by the staged force cycle.
     pub wal_writes: u64,
-    /// Commit acks the completion router had to park until the durable
-    /// watermark caught up (filled by the `fgs-oodb` runtime; acks that
-    /// released immediately are not counted).
+    /// Commit acks released by a force cycle rather than on submit
+    /// (filled by the `fgs-oodb` runtime). A run submits its acks before
+    /// it forces, so in the server nearly every ack counts; one submitted
+    /// after the watermark already covered it does not.
     pub deferred_acks: u64,
 }
 
@@ -254,7 +259,7 @@ impl Store {
         self.wal.append(&LogRecord::Commit { txn })
     }
 
-    /// Accounts `batch_size` commits made durable by one log-writer
+    /// Accounts `batch_size` commits made durable by one staged force
     /// cycle (the stepwise WAL API, [`crate::Wal::force_written`]).
     /// `forced` reports whether that cycle performed a physical force;
     /// every commit beyond the first rode on it (`piggybacked_commits`),

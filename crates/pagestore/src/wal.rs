@@ -10,10 +10,10 @@
 //!
 //! # Staged durability
 //!
-//! The log tail is double-buffered for the asynchronous durability
-//! pipeline (DESIGN.md §16). Appends land in the *active* buffer and
-//! return immediately; a dedicated log-writer thread walks the tail
-//! through three explicit stages:
+//! The log tail is double-buffered for the staged durability pipeline
+//! (DESIGN.md §16). Appends land in the *active* buffer and return
+//! immediately; a force cycle — in the server, run by one committing
+//! thread at a time — walks the tail through three explicit stages:
 //!
 //! ```text
 //! append → [active] --seal()--> [sealed] --write_sealed()--> [written]
@@ -21,8 +21,8 @@
 //! ```
 //!
 //! * [`Wal::seal`] swaps the active buffer out as the sealed shadow
-//!   segment (at most one outstanding) and hands the writer a fresh
-//!   active buffer, so appenders never wait for the device.
+//!   segment (at most one outstanding) and leaves appenders a fresh
+//!   active buffer, so they never wait for the device.
 //! * [`Wal::write_sealed`] moves the sealed segment onto the written
 //!   log image (the device write).
 //! * [`Wal::force_written`] advances the durable watermark over
@@ -30,13 +30,13 @@
 //!   durable exactly when `flushed() > l`.
 //!
 //! The synchronous paths ([`Wal::flush`], [`Wal::force_up_to`]) collapse
-//! all three stages in one call; they serve stores without a writer
-//! thread, buffer-pool eviction (the WAL rule for steals), and abort
-//! replay, and coalesce with the writer via the shared durable horizon.
+//! all three stages in one call; they serve bare stores, checkpoints,
+//! buffer-pool eviction (the WAL rule for steals), and abort replay, and
+//! coalesce with the staged cycle via the shared durable horizon.
 //!
 //! Backpressure: when an append cap is set ([`Wal::set_append_cap`]) and
 //! the active buffer is full while a sealed segment is still being
-//! drained — both buffers full — appenders block until the writer
+//! drained — both buffers full — appenders block until the cycle
 //! finishes the device write. Without a cap appends never block.
 //!
 //! [`WalHold`] freezes the staged pipeline at a chosen boundary so the
@@ -256,14 +256,14 @@ fn crc32(data: &[u8]) -> u32 {
 /// harness to capture crash images with the tail parked between stages.
 ///
 /// While a hold other than [`WalHold::None`] is set, the stepwise
-/// writer-thread API ([`Wal::seal`] / [`Wal::write_sealed`] /
+/// force-cycle API ([`Wal::seal`] / [`Wal::write_sealed`] /
 /// [`Wal::force_written`]) no-ops and appends never block on
 /// backpressure (so a crashing run can still drain and shut down). The
 /// synchronous paths ([`Wal::flush`], [`Wal::force_up_to`]) are *not*
-/// gated — they model the caller's own I/O, not the stalled writer
-/// thread — so a held state is best-effort the instant other threads
-/// keep running; the harness engages the hold right before capturing
-/// the crash image.
+/// gated — they model a checkpoint's or a steal's own I/O, not the
+/// stalled commit force — so a held state is best-effort the instant
+/// other threads keep running; the harness engages the hold right
+/// before capturing the crash image.
 ///
 /// Engaging a hold also *manufactures* the named state from whatever is
 /// buffered, so the crash image deterministically exercises that stage:
@@ -305,7 +305,7 @@ struct WalInner {
     written: Vec<u8>,
     /// Durable watermark: bytes of `written` covered by a force.
     durable: u64,
-    /// The sealed shadow segment the log writer is draining (at most one
+    /// The sealed shadow segment the force cycle is draining (at most one
     /// outstanding — this is the second buffer of the pair).
     sealed: Option<Vec<u8>>,
     /// The active append buffer.
@@ -414,9 +414,10 @@ impl Wal {
 
     /// Sets the active-buffer backpressure cap: an append blocks while
     /// the active buffer holds at least `cap` bytes *and* a sealed
-    /// segment is still draining (both buffers full). The runtime with a
-    /// dedicated log writer sets this; bare stores keep the default
-    /// (`usize::MAX`, never block — nothing ever stays sealed).
+    /// segment is still draining (both buffers full). The server runtime,
+    /// whose committers run the staged cycle, sets this; bare stores keep
+    /// the default (`usize::MAX`, never block — nothing ever stays
+    /// sealed).
     pub fn set_append_cap(&self, cap: usize) {
         self.inner.lock().cap = cap.max(1);
         self.space.notify_all();
@@ -439,7 +440,7 @@ impl Wal {
         lsn
     }
 
-    // -- stepwise API (the dedicated log-writer thread) -----------------
+    // -- stepwise API (one force cycle at a time) -----------------------
 
     /// Seals the active buffer as the shadow segment, handing appenders a
     /// fresh one. Returns `false` when there is nothing to seal, a sealed
@@ -484,12 +485,12 @@ impl Wal {
         let mut g = self.inner.lock();
         match hold {
             // A hold can strand a sealed segment: `BeforeWrite` makes one,
-            // and any hold can catch the writer between its seal and its
-            // write. Write it out on release, so the single cycle the
-            // release triggers can seal — and force — what was appended
-            // under the hold; otherwise that cycle only drains the
-            // stranded segment, the writer parks believing it is caught
-            // up, and the acks of those appends wait for the next commit.
+            // and any hold can catch a cycle between its seal and its
+            // write. Write it out on release, so the single catch-up
+            // cycle the release runs can seal — and force — what was
+            // appended under the hold; otherwise that cycle only drains
+            // the stranded segment and the acks of those appends wait
+            // for the next commit.
             WalHold::None => {
                 g.write_sealed_segment();
             }
@@ -503,7 +504,7 @@ impl Wal {
             }
         }
         g.hold = hold;
-        // Never leave an appender wedged behind a frozen writer.
+        // Never leave an appender wedged behind a frozen cycle.
         self.space.notify_all();
     }
 
@@ -553,12 +554,12 @@ impl Wal {
         self.inner.lock().forces
     }
 
-    /// Active-buffer seals performed by the stepwise writer path.
+    /// Active-buffer seals performed by the stepwise cycle.
     pub fn seals(&self) -> u64 {
         self.inner.lock().seals
     }
 
-    /// Sealed-segment device writes performed by the stepwise writer path.
+    /// Sealed-segment device writes performed by the stepwise cycle.
     pub fn segment_writes(&self) -> u64 {
         self.inner.lock().writes
     }
@@ -809,7 +810,7 @@ mod tests {
             let full = wal.crash_bytes(usize::MAX);
             assert_eq!(full.len() as u64, wal.len(), "{hold:?}: remainder lost");
             // Appends keep landing under the hold. Releasing it lets one
-            // writer cycle make all of it durable, those appends included.
+            // cycle make all of it durable, those appends included.
             wal.append(&LogRecord::Begin { txn: txn(1, 2) });
             wal.set_hold(WalHold::None);
             wal.seal();
@@ -828,7 +829,7 @@ mod tests {
         wal.append(&LogRecord::Begin { txn: txn(1, 1) });
         wal.append(&LogRecord::Commit { txn: txn(1, 1) });
         wal.seal();
-        // Both buffers full now; a concurrent writer cycle releases the
+        // Both buffers full now; a concurrent cycle's write releases the
         // appender. (Single-threaded here: write first, then append.)
         wal.write_sealed();
         let c = wal.append(&update(1));

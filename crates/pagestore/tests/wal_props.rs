@@ -88,8 +88,8 @@ fn run_program(wal: &Wal, client: u16, program: &[Op]) {
 }
 
 /// One step of a *staged* WAL program, driving the double-buffered
-/// writer API (`seal` / `write_sealed` / `force_written`) plus chaos
-/// holds, the way the dedicated log-writer thread and the harness do.
+/// force-cycle API (`seal` / `write_sealed` / `force_written`) plus chaos
+/// holds, the way the server's committing runs and the harness do.
 #[derive(Debug, Clone, Copy)]
 enum StagedOp {
     /// Append a commit record for a fresh transaction.
@@ -98,7 +98,7 @@ enum StagedOp {
     Update {
         payload: u8,
     },
-    /// One writer stage.
+    /// One force-cycle stage.
     Seal,
     WriteSealed,
     /// Force: every commit whose record end is covered by the returned
@@ -133,7 +133,7 @@ fn staged_ops() -> impl Strategy<Value = Vec<StagedOp>> {
 
 proptest! {
     /// The asynchronous-durability safety property, end to end: however
-    /// a staged program interleaves appends, writer stages, synchronous
+    /// a staged program interleaves appends, cycle stages, synchronous
     /// flushes and chaos holds, a crash image with an arbitrary torn
     /// tail (`crash_bytes(extra)`) replays **every commit whose ack the
     /// completion router would have released** (watermark past its

@@ -45,6 +45,7 @@ mod cpu;
 mod fifo;
 mod rng;
 mod stats;
+pub mod test_support;
 mod time;
 
 pub use calendar::{Calendar, EventId};

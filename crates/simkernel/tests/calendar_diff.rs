@@ -1,102 +1,12 @@
 //! Differential and property tests for the calendar-queue event engine:
-//! random interleavings of schedule / pop / cancel are replayed against a
-//! reference binary-heap calendar (the implementation the queue
-//! replaced), and every observable — pop order, timestamps, clock,
+//! random interleavings of schedule / pop / cancel are replayed against
+//! the reference binary-heap calendar (`test_support::HeapCalendar`, the
+//! implementation the queue replaced), and every observable — pop order, timestamps, clock,
 //! length, stale-id handling — must match exactly.
 
+use fgs_simkernel::test_support::HeapCalendar;
 use fgs_simkernel::{Calendar, EventId, SimTime};
 use proptest::prelude::*;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-// ---------------------------------------------------------------------
-// Reference model: the original BinaryHeap calendar, extended with lazy
-// cancellation so the differential covers `cancel` too.
-// ---------------------------------------------------------------------
-
-struct HeapEntry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The pre-calendar-queue implementation, verbatim semantics: max-heap
-/// inverted to a min-heap, FIFO tie-break on a schedule counter, clock
-/// advanced on pop, past scheduling panics. Cancellation is lazy (a
-/// tombstone list), which is observationally equivalent.
-struct HeapCalendar<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    cancelled: Vec<u64>,
-    now: SimTime,
-    seq: u64,
-}
-
-impl<E> HeapCalendar<E> {
-    fn new() -> Self {
-        HeapCalendar {
-            heap: BinaryHeap::new(),
-            cancelled: Vec::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-        }
-    }
-
-    fn schedule(&mut self, time: SimTime, event: E) -> u64 {
-        assert!(time >= self.now, "scheduling into the past");
-        let id = self.seq;
-        self.heap.push(HeapEntry {
-            time,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-        id
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let entry = self.heap.pop()?;
-            if let Some(i) = self.cancelled.iter().position(|&s| s == entry.seq) {
-                self.cancelled.swap_remove(i);
-                continue;
-            }
-            self.now = entry.time;
-            return Some((entry.time, entry.event));
-        }
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        let live = self.heap.iter().any(|e| e.seq == seq) && !self.cancelled.contains(&seq);
-        if live {
-            self.cancelled.push(seq);
-        }
-        live
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
-    }
-}
 
 // ---------------------------------------------------------------------
 // Script interpreter: both implementations execute the same random
@@ -175,7 +85,7 @@ fn run_script(script: &[Op]) {
                 let got = cq.pop();
                 let want = heap.pop();
                 assert_eq!(got, want, "pop diverged");
-                assert_eq!(cq.now(), heap.now, "clock diverged");
+                assert_eq!(cq.now(), heap.now(), "clock diverged");
             }
             Op::Cancel { i } => {
                 if !ids.is_empty() {
@@ -187,7 +97,7 @@ fn run_script(script: &[Op]) {
             }
         }
         assert_eq!(cq.len(), heap.len(), "length diverged");
-        assert_eq!(cq.is_empty(), heap.len() == 0);
+        assert_eq!(cq.is_empty(), heap.is_empty());
     }
     // Drain both completely: residual order must match too.
     loop {
