@@ -628,9 +628,9 @@ mod testkit {
     use crate::transport::Serve;
     use crate::wire::ToServer;
     use crate::Session;
-    use crossbeam::channel::{unbounded, Receiver, Sender};
     use fgs_core::GrantLevel;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::{OnceLock, Weak};
 
     /// What the sink saw, in the order the runtime sent it.
@@ -732,7 +732,7 @@ mod testkit {
     }
 
     fn rig_over(timeout: Duration, server: Option<Arc<dyn Serve>>) -> (Rig, Receiver<Request>) {
-        let (seen, requests) = unbounded();
+        let (seen, requests) = channel();
         let wire = Arc::new(Wire {
             sent: Mutex::new(Vec::new()),
             closes: AtomicUsize::new(0),

@@ -82,6 +82,26 @@ pub struct StoreStats {
     pub deferred_acks: u64,
 }
 
+/// What one buffer-pool access finds in a slot.
+enum Slot {
+    /// The record's bytes.
+    Data(Vec<u8>),
+    /// A forward stub naming the record's overflow home.
+    Forward(Oid),
+    /// No record.
+    Empty,
+}
+
+impl Slot {
+    /// The record's bytes, if the slot holds them.
+    fn data(self) -> Option<Vec<u8>> {
+        match self {
+            Slot::Data(d) => Some(d),
+            _ => None,
+        }
+    }
+}
+
 /// A logged object store over a disk and buffer pool.
 pub struct Store {
     pool: BufferPool,
@@ -165,19 +185,19 @@ impl Store {
     /// Reads an object, following at most one forward hop (forwarded
     /// records are never re-forwarded: the overflow home is permanent).
     pub fn read_object(&self, oid: Oid) -> io::Result<Option<Vec<u8>>> {
-        let first = self.pool.with_page(oid.page, |p| match p.read(oid.slot) {
-            Ok(Record::Data(d)) => Some(Ok(d.to_vec())),
-            Ok(Record::Forward(page, slot)) => Some(Err(Oid::new(PageId(page), slot))),
-            Err(_) => None,
-        })?;
-        match first {
-            Some(Ok(data)) => Ok(Some(data)),
-            Some(Err(fwd)) => self.pool.with_page(fwd.page, |p| match p.read(fwd.slot) {
-                Ok(Record::Data(d)) => Some(d.to_vec()),
-                _ => None,
-            }),
-            None => Ok(None),
-        }
+        Ok(match self.read_slot(oid)? {
+            Slot::Forward(fwd) => self.read_slot(fwd)?.data(),
+            slot => slot.data(),
+        })
+    }
+
+    /// What one buffer-pool access finds in `oid`'s slot.
+    fn read_slot(&self, oid: Oid) -> io::Result<Slot> {
+        self.pool.with_page(oid.page, |p| match p.read(oid.slot) {
+            Ok(Record::Data(d)) => Slot::Data(d.to_vec()),
+            Ok(Record::Forward(page, slot)) => Slot::Forward(Oid::new(PageId(page), slot)),
+            Err(_) => Slot::Empty,
+        })
     }
 
     /// A copy of a page's current image (what the server ships to
@@ -194,37 +214,47 @@ impl Store {
     /// Applies one logged object update for `txn`. Size-changing updates
     /// that overflow the page are forwarded to the overflow region.
     pub fn update_object(&self, txn: TxnId, oid: Oid, after: &[u8]) -> io::Result<()> {
-        // Resolve a forward first: updates apply at the record's home.
-        let target = self.pool.with_page(oid.page, |p| match p.read(oid.slot) {
-            Ok(Record::Forward(page, slot)) => Oid::new(PageId(page), slot),
-            _ => oid,
-        })?;
-        let before = self.read_object(target)?.unwrap_or_default();
-        let lsn = self.wal.append(&LogRecord::Update {
+        // One read of the home slot yields the before image, or the
+        // forward stub: updates then apply at the record's overflow home.
+        let (target, before) = match self.read_slot(oid)? {
+            Slot::Forward(fwd) => (fwd, self.read_slot(fwd)?.data()),
+            slot => (oid, slot.data()),
+        };
+        let rec = LogRecord::Update {
             txn,
             oid: target,
-            before: before.clone(),
+            before: before.unwrap_or_default(),
             after: after.to_vec(),
-        });
+        };
+        let lsn = self.wal.append(&rec);
         let fit = self
             .pool
             .with_page_mut(target.page, lsn, |p| p.put_at(target.slot, after))?;
-        match fit {
-            Ok(()) => Ok(()),
-            Err(PageError::Full) => self.forward_update(txn, target, &before, after),
-            Err(e) => Err(io::Error::other(e)),
+        match (fit, rec) {
+            (Ok(()), _) => Ok(()),
+            (Err(PageError::Full), LogRecord::Update { before, after, .. }) => {
+                self.forward_update(txn, target, before, after)
+            }
+            (Err(e), _) => Err(io::Error::other(e)),
         }
     }
 
     /// Handles a page-overflowing update: place the bytes on an overflow
-    /// page, install a forward stub at the home slot.
-    fn forward_update(&self, txn: TxnId, home: Oid, before: &[u8], after: &[u8]) -> io::Result<()> {
+    /// page, install a forward stub at the home slot. `before` and `after`
+    /// come back out of the overflowing update's log record.
+    fn forward_update(
+        &self,
+        txn: TxnId,
+        home: Oid,
+        before: Vec<u8>,
+        after: Vec<u8>,
+    ) -> io::Result<()> {
         // Find an overflow page with room (records are ≤ page payload).
         let mut page = self.overflow_next.load(Ordering::Relaxed);
         let to = loop {
             let slot = self
                 .pool
-                .with_page_mut(PageId(page), 0, |p| p.insert(after).ok())?;
+                .with_page_mut(PageId(page), 0, |p| p.insert(&after).ok())?;
             match slot {
                 Some(slot) => break Oid::new(PageId(page), slot),
                 None => {
@@ -238,14 +268,14 @@ impl Store {
             txn,
             oid: to,
             before: Vec::new(),
-            after: after.to_vec(),
+            after,
         });
         self.pool.with_page_mut(to.page, lsn, |_| ())?; // stamp the page LSN
         let lsn = self.wal.append(&LogRecord::Forward {
             txn,
             from: home,
             to,
-            home_before: before.to_vec(),
+            home_before: before,
         });
         self.pool.with_page_mut(home.page, lsn, |p| {
             p.forward(home.slot, to.page.0, to.slot)
@@ -394,15 +424,34 @@ mod tests {
         assert_eq!(s.read_object(oid(0, 0)).unwrap().unwrap(), b"v1");
     }
 
+    /// A record too big for its home page: 4 × 16-byte objects leave a
+    /// 256-byte page 181 bytes for one of them (after compaction), so
+    /// 200 bytes cannot fit alongside the siblings and forward instead.
+    const BIG: usize = 200;
+
+    /// Forwards `oid(2, 1)` to the overflow region under a committed
+    /// `txn(1)` and returns the bytes and their overflow home.
+    fn forwarded(s: &Store) -> (Vec<u8>, Oid) {
+        let big = vec![0xCD; BIG];
+        s.begin(txn(1));
+        s.update_object(txn(1), oid(2, 1), &big).unwrap();
+        commit_durably(s, txn(1));
+        let to = s
+            .wal()
+            .replay()
+            .into_iter()
+            .find_map(|(_, r)| match r {
+                LogRecord::Forward { to, .. } => Some(to),
+                _ => None,
+            })
+            .expect("the update forwarded");
+        (big, to)
+    }
+
     #[test]
     fn growing_update_forwards_and_reads_through() {
         let (s, _) = store();
-        // 4 × 16-byte objects on a 256-byte page: a 150-byte record cannot
-        // fit alongside its siblings, so it forwards.
-        s.begin(txn(1));
-        let big = vec![0xCD; 150];
-        s.update_object(txn(1), oid(2, 1), &big).unwrap();
-        commit_durably(&s, txn(1));
+        let (big, _) = forwarded(&s);
         assert_eq!(s.read_object(oid(2, 1)).unwrap().unwrap(), big);
         // Neighbours unaffected.
         assert_eq!(s.read_object(oid(2, 0)).unwrap().unwrap(), vec![0u8; 16]);
@@ -421,12 +470,55 @@ mod tests {
             .unwrap();
         commit_durably(&s, txn(1));
         s.begin(txn(2));
-        s.update_object(txn(2), oid(2, 1), &[0xEE; 150]).unwrap();
+        s.update_object(txn(2), oid(2, 1), &[0xEE; BIG]).unwrap();
         s.abort(txn(2)).unwrap();
         assert_eq!(
             s.read_object(oid(2, 1)).unwrap().unwrap(),
             b"before-forward"
         );
+    }
+
+    #[test]
+    fn update_of_a_forwarded_object_logs_and_undoes_at_its_overflow_home() {
+        let (s, _) = store();
+        let (big, to) = forwarded(&s);
+        s.begin(txn(2));
+        s.update_object(txn(2), oid(2, 1), b"second").unwrap();
+        s.wal().flush();
+        let logged = s
+            .wal()
+            .replay()
+            .into_iter()
+            .rev()
+            .find_map(|(_, r)| match r {
+                LogRecord::Update {
+                    txn: t,
+                    oid,
+                    before,
+                    after,
+                } if t == txn(2) => Some((oid, before, after)),
+                _ => None,
+            });
+        assert_eq!(logged, Some((to, big.clone(), b"second".to_vec())));
+        assert_eq!(s.read_object(oid(2, 1)).unwrap().unwrap(), b"second");
+        s.abort(txn(2)).unwrap();
+        assert_eq!(s.read_object(oid(2, 1)).unwrap().unwrap(), big);
+        assert_eq!(s.read_object(to).unwrap().unwrap(), big);
+    }
+
+    #[test]
+    fn second_update_of_a_forwarded_object_survives_recovery() {
+        let (s, disk) = store();
+        let (_, to) = forwarded(&s);
+        s.begin(txn(2));
+        s.update_object(txn(2), oid(2, 1), b"second").unwrap();
+        commit_durably(&s, txn(2));
+        let log = s.wal().durable_bytes();
+        drop(s);
+        let (s2, report) = Store::recover(disk, log, 16, 1000).unwrap();
+        assert!(report.winners.contains(&txn(2)));
+        assert_eq!(s2.read_object(oid(2, 1)).unwrap().unwrap(), b"second");
+        assert_eq!(s2.read_object(to).unwrap().unwrap(), b"second");
     }
 
     #[test]
@@ -478,7 +570,7 @@ mod tests {
     fn crash_recovery_of_forwarded_commit() {
         let (s, disk) = store();
         s.begin(txn(1));
-        let big = vec![0xAB; 150];
+        let big = vec![0xAB; BIG];
         s.update_object(txn(1), oid(3, 2), &big).unwrap();
         commit_durably(&s, txn(1));
         let log = s.wal().durable_bytes();
