@@ -20,7 +20,7 @@ use crate::server::state::{
     CbOp, Cost, PageState, Provisional, STxn, ServerStats, WaitKind, Waiter,
 };
 use crate::server::wfg::WaitsFor;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// An effect the embedding layer must carry out.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +86,7 @@ impl Outcome {
 /// How a request fared against the lock table.
 enum Decision {
     Proceed,
-    Block { blockers: HashSet<TxnId> },
+    Block { blockers: BTreeSet<TxnId> },
     Deescalate { holder: TxnId },
 }
 
@@ -318,7 +318,7 @@ impl ServerEngine {
         is_write: bool,
         client: ClientId,
     ) -> Decision {
-        let mut blockers = HashSet::new();
+        let mut blockers = BTreeSet::new();
         let mut deesc = None;
         // PS-WT: a write needs the page's token; it can transfer only once
         // the current owner has no uncommitted updates on the page.
@@ -401,8 +401,8 @@ impl ServerEngine {
                 let o = w.oid();
                 st.page_writer == Some(w.txn) || st.obj_writers.get(&o.slot) == Some(&w.txn)
             };
-            let earlier: HashSet<TxnId> = if holds_covering_lock {
-                HashSet::new()
+            let earlier: BTreeSet<TxnId> = if holds_covering_lock {
+                BTreeSet::new()
             } else {
                 blocked_items
                     .iter()

@@ -5,15 +5,18 @@
 //! queue entries, and — for callbacks answered `Busy` — the remote
 //! transactions whose client-managed read locks defer the callback. The
 //! graph is tiny (at most one blocked transaction per client), so plain DFS
-//! cycle detection on every edge change is cheap.
+//! cycle detection on every edge change is cheap. Edges are kept ordered,
+//! so the DFS — and with it the victim, when several cycles run through
+//! the blocked transaction — is a function of the graph alone, not of a
+//! process's hash keys.
 
 use crate::ids::TxnId;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A waits-for graph over transactions.
 #[derive(Debug, Default)]
 pub struct WaitsFor {
-    edges: HashMap<TxnId, HashSet<TxnId>>,
+    edges: BTreeMap<TxnId, BTreeSet<TxnId>>,
 }
 
 impl WaitsFor {
@@ -23,7 +26,7 @@ impl WaitsFor {
     }
 
     /// Replaces the out-edges of `from` with `to`.
-    pub fn set_edges(&mut self, from: TxnId, to: HashSet<TxnId>) {
+    pub fn set_edges(&mut self, from: TxnId, to: BTreeSet<TxnId>) {
         if to.is_empty() {
             self.edges.remove(&from);
         } else {
@@ -57,7 +60,7 @@ impl WaitsFor {
 
     /// The transactions `from` currently waits for.
     #[cfg_attr(not(test), allow(dead_code))]
-    pub fn blockers(&self, from: TxnId) -> Option<&HashSet<TxnId>> {
+    pub fn blockers(&self, from: TxnId) -> Option<&BTreeSet<TxnId>> {
         self.edges.get(&from)
     }
 
@@ -70,8 +73,8 @@ impl WaitsFor {
     /// detected from its own members.
     pub fn find_cycle(&self, start: TxnId) -> Option<Vec<TxnId>> {
         let mut path = vec![start];
-        let mut on_path: HashSet<TxnId> = [start].into();
-        let mut visited: HashSet<TxnId> = HashSet::new();
+        let mut on_path: BTreeSet<TxnId> = [start].into();
+        let mut visited: BTreeSet<TxnId> = BTreeSet::new();
         self.dfs(start, start, &mut path, &mut on_path, &mut visited)
     }
 
@@ -80,8 +83,8 @@ impl WaitsFor {
         start: TxnId,
         node: TxnId,
         path: &mut Vec<TxnId>,
-        on_path: &mut HashSet<TxnId>,
-        visited: &mut HashSet<TxnId>,
+        on_path: &mut BTreeSet<TxnId>,
+        visited: &mut BTreeSet<TxnId>,
     ) -> Option<Vec<TxnId>> {
         if let Some(nexts) = self.edges.get(&node) {
             for &next in nexts {
@@ -171,7 +174,7 @@ mod tests {
         g.add_edges(t(1), [t(2), t(3)]);
         g.set_edges(t(1), [t(4)].into());
         assert_eq!(g.blockers(t(1)).unwrap().len(), 1);
-        g.set_edges(t(1), HashSet::new());
+        g.set_edges(t(1), BTreeSet::new());
         assert!(g.blockers(t(1)).is_none());
     }
 

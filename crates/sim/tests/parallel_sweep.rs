@@ -75,3 +75,34 @@ fn grid_cells_use_distinct_derived_seeds() {
     dedup.dedup();
     assert_eq!(dedup.len(), seeds.len(), "all cell seeds distinct");
 }
+
+/// HICON at low locality blocks and deadlocks constantly, and two cycles
+/// through the same blocked transaction are common there. The victim must
+/// not depend on hash order: the same cells run twice in one process
+/// (where every hash table gets fresh random keys) must agree exactly.
+#[test]
+fn hicon_deadlock_victims_replay_within_a_process() {
+    let sys = SystemConfig::default();
+    let run = quick();
+    let mut cells = Vec::new();
+    for protocol in [Protocol::Ps, Protocol::PsAa] {
+        for write_prob in [0.02, 0.05, 0.1] {
+            cells.push(SweepCell {
+                protocol,
+                write_prob,
+                spec: WorkloadSpec::hicon(Locality::Low, write_prob),
+            });
+        }
+    }
+    let first = run_cells(&cells, &sys, &run, 1);
+    let second = run_cells(&cells, &sys, &run, 1);
+    assert_eq!(first, second, "HICON cells must replay for a fixed seed");
+    assert!(
+        first.iter().any(|m| m.aborts > 0),
+        "the grid actually deadlocked"
+    );
+    // Pinned when deadlock detection became ordered: a change to the
+    // event calendar or the waits-for graph must reproduce it exactly.
+    let last = first.last().expect("six cells");
+    assert_eq!((last.commits, last.aborts), (118, 375), "PS-AA, w = 0.1");
+}
