@@ -133,6 +133,10 @@ pub struct Simulator {
     response: Tally,
     remote_access: Tally,
     events_processed: u64,
+    /// Most events ever pending in the calendar, and the sum over every
+    /// processed event of the pending count it was popped from.
+    cal_peak: usize,
+    cal_depth_sum: u64,
 }
 
 impl Simulator {
@@ -185,6 +189,8 @@ impl Simulator {
             response: Tally::new(),
             remote_access: Tally::new(),
             events_processed: 0,
+            cal_peak: 0,
+            cal_depth_sum: 0,
             gen,
             sys,
             run,
@@ -201,6 +207,9 @@ impl Simulator {
             if t > end {
                 break;
             }
+            let depth = self.cal.len();
+            self.cal_peak = self.cal_peak.max(depth);
+            self.cal_depth_sum += depth as u64;
             let (_, ev) = self.cal.pop().expect("peeked");
             self.handle_event(ev);
             self.events_processed += 1;
@@ -211,9 +220,10 @@ impl Simulator {
         }
         if std::env::var_os("FGS_SIM_DEBUG").is_some() {
             eprintln!(
-                "events={} cal_peak~={} msgs={} commits={}",
+                "events={} cal_peak={} cal_mean={:.2} msgs={} commits={}",
                 self.events_processed,
-                self.cal.len(),
+                self.cal_peak,
+                self.cal_depth_sum as f64 / self.events_processed.max(1) as f64,
                 self.messages,
                 self.commits
             );

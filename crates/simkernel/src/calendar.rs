@@ -1,77 +1,41 @@
 //! The event calendar: a time-ordered queue of future events.
 //!
-//! Implemented as a **calendar queue** (R. Brown, CACM 1988): a bucketed
-//! timing wheel whose bucket width adapts to the observed inter-event
-//! gap, giving O(1) amortized schedule/pop on the simulator's hot loop
-//! (the `BinaryHeap` it replaced paid `O(log n)` comparisons per
-//! operation). Entries live in a slab with an embedded free list, so
-//! steady-state scheduling performs **zero allocations**: bucket vectors,
-//! slab slots and the overflow heap all recycle their storage.
-//!
-//! Structure:
-//!
-//! * **Slab** — every pending event occupies one reusable slot holding
-//!   `(time, seq, event)`; the sequence number doubles as the [`EventId`]
-//!   and as the FIFO tie-break for simultaneous events.
-//! * **Wheel** — an array of buckets (a power of two); an event at time
-//!   `t` lives in bucket `floor(t / width) % nbuckets`. The wheel covers
-//!   `nbuckets` consecutive *days* (width-sized intervals) from the
-//!   current clock; [`Calendar::pop`] scans forward from the last-popped
-//!   day, which costs O(1) amortized when the width tracks the average
-//!   event gap.
-//! * **Overflow heap** — events beyond the wheel's horizon wait in a
-//!   min-heap and migrate into the wheel as the clock approaches them.
-//! * **Resizing** — the wheel doubles when occupancy exceeds two events
-//!   per bucket and halves when it falls below a quarter, recomputing the
-//!   bucket width from an exponential moving average of inter-pop gaps;
-//!   it also rebuilds in place when the width drifts an order of
-//!   magnitude away from that average (constant-population steady states
-//!   never cross the occupancy thresholds).
-//!
-//! Semantics are identical to the heap implementation it replaced
-//! (verified by a randomized differential test): strict `(time, FIFO)`
-//! ordering, the clock advances on `pop`, and scheduling into the past
-//! panics.
+//! A binary heap of `(time, seq)` entries, as the paper's model specifies
+//! ("time-ordered heap, FIFO tie-break"). The schedule counter `seq`
+//! breaks ties between simultaneous events in scheduling order. The
+//! simulator keeps a few dozen events pending at most (one or two per
+//! client and resource), where `O(log n)` is a handful of comparisons.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Opaque handle for a scheduled event, usable to ignore stale completions
-/// or to [`Calendar::cancel`] an event that has not fired yet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
-/// Smallest number of buckets the wheel shrinks down to.
-const MIN_BUCKETS: usize = 16;
-/// Narrowest bucket width, in seconds (guards the day arithmetic against
-/// degenerate all-simultaneous workloads driving the width to zero).
-const MIN_WIDTH: f64 = 1e-9;
-
-/// One slab slot. `event` is `None` while the slot sits on the free list.
-struct Slot<E> {
+/// One pending event. Ordered so the max-heap pops the earliest
+/// `(time, seq)` first.
+struct Entry<E> {
     time: SimTime,
     seq: u64,
-    /// The day `place` filed this entry under, cached so scans compare
-    /// integers instead of re-dividing timestamps. Every resize re-places
-    /// all live entries, so the cache always reflects the current width.
-    day: u64,
-    event: Option<E>,
+    event: E,
 }
 
-/// Where `locate_min` found the earliest pending event.
-#[derive(Debug, Clone, Copy)]
-enum Loc {
-    /// In wheel bucket `bucket` at position `pos` (slab slot `slot`,
-    /// firing on day `day`).
-    Bucket {
-        day: u64,
-        bucket: usize,
-        pos: usize,
-        slot: u32,
-    },
-    /// At the top of the overflow heap.
-    Overflow,
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
 }
 
 /// A time-ordered event queue with FIFO tie-breaking.
@@ -80,26 +44,9 @@ enum Loc {
 /// to the fired event's timestamp. Scheduling an event in the past panics,
 /// which catches causality bugs early.
 pub struct Calendar<E> {
-    slab: Vec<Slot<E>>,
-    free: Vec<u32>,
-    /// Wheel buckets of slab indices; `buckets.len()` is a power of two.
-    buckets: Vec<Vec<u32>>,
-    /// Bucket width in seconds.
-    width: f64,
-    /// Day (width-sized interval index) the forward scan resumes from.
-    /// Invariant: no pending wheel event fires on an earlier day.
-    cur_day: u64,
-    /// Far-future events, min-ordered by `(time bits, seq)`. Every
-    /// overflow event fires on day ≥ `day(now) + nbuckets`.
-    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Memoized location of the earliest event (peek/pop share one scan).
-    cached_min: Option<Loc>,
-    /// Exponential moving average of inter-pop gaps, in seconds; the
-    /// bucket width is re-derived from it at every resize.
-    gap_ema: f64,
+    heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     seq: u64,
-    len: usize,
 }
 
 impl<E> Default for Calendar<E> {
@@ -112,17 +59,9 @@ impl<E> Calendar<E> {
     /// An empty calendar with the clock at time zero.
     pub fn new() -> Self {
         Calendar {
-            slab: Vec::new(),
-            free: Vec::new(),
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 2e-3,
-            cur_day: 0,
-            overflow: BinaryHeap::new(),
-            cached_min: None,
-            gap_ema: 1e-3,
+            heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
-            len: 0,
         }
     }
 
@@ -132,304 +71,43 @@ impl<E> Calendar<E> {
         self.now
     }
 
-    /// The day (bucket-width interval index) containing `t`.
-    #[inline]
-    fn day_of(&self, t: SimTime) -> u64 {
-        // The cast saturates for enormous quotients, which stays correct:
-        // saturated days simply never migrate out of the overflow heap
-        // until a resize recomputes a saner width.
-        (t.as_secs() / self.width) as u64
-    }
-
-    /// First day past the wheel's coverage; events on or after it
-    /// overflow. Anchored at `now` (not the scan position), so the
-    /// coverage invariant survives scan rewinds by earlier arrivals.
-    #[inline]
-    fn horizon(&self) -> u64 {
-        self.day_of(self.now)
-            .saturating_add(self.buckets.len() as u64)
-    }
-
     /// Schedules `event` to fire at `time`. Panics if `time` is in the past.
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.now,
             "scheduling into the past: {} < {}",
             time,
             self.now
         );
-        let seq = self.seq;
+        self.heap.push(Entry {
+            time,
+            seq: self.seq,
+            event,
+        });
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(i) => {
-                let s = &mut self.slab[i as usize];
-                s.time = time;
-                s.seq = seq;
-                s.event = Some(event);
-                i
-            }
-            None => {
-                self.slab.push(Slot {
-                    time,
-                    seq,
-                    day: 0,
-                    event: Some(event),
-                });
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.len += 1;
-        // A strictly-earlier arrival supersedes the memoized minimum
-        // (equal times lose the FIFO tie-break to the cached event).
-        if let Some(loc) = self.cached_min {
-            if time < self.loc_time(loc) {
-                self.cached_min = None;
-            }
-        }
-        self.place(slot);
-        if self.len > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
-        EventId(seq)
-    }
-
-    /// Files slab entry `slot` into its wheel bucket or the overflow heap.
-    fn place(&mut self, slot: u32) {
-        let s = &self.slab[slot as usize];
-        let (time, seq) = (s.time, s.seq);
-        let day = self.day_of(time);
-        self.slab[slot as usize].day = day;
-        if day >= self.horizon() {
-            self.overflow
-                .push(Reverse((time.as_secs().to_bits(), seq, slot)));
-        } else {
-            // The scan never runs ahead of the earliest pending event, so
-            // an arrival on an earlier day rewinds it.
-            if day < self.cur_day {
-                self.cur_day = day;
-            }
-            let b = (day & (self.buckets.len() as u64 - 1)) as usize;
-            self.buckets[b].push(slot);
-        }
-    }
-
-    /// Pulls every overflow event the wheel now covers into its bucket.
-    fn migrate_overflow(&mut self) {
-        let horizon = self.horizon();
-        while let Some(&Reverse((_, _, slot))) = self.overflow.peek() {
-            if self.slab[slot as usize].day >= horizon {
-                break;
-            }
-            let Reverse((_, _, slot)) = self.overflow.pop().expect("peeked");
-            self.place(slot);
-        }
-    }
-
-    /// The `(time, seq)` of the event at `loc`.
-    fn loc_time(&self, loc: Loc) -> SimTime {
-        match loc {
-            Loc::Bucket { slot, .. } => self.slab[slot as usize].time,
-            Loc::Overflow => {
-                let &Reverse((bits, _, _)) = self.overflow.peek().expect("overflow min cached");
-                SimTime::from_secs(f64::from_bits(bits))
-            }
-        }
-    }
-
-    /// Locates (and memoizes) the earliest pending event.
-    fn locate_min(&mut self) -> Option<Loc> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(loc) = self.cached_min {
-            return Some(loc);
-        }
-        self.migrate_overflow();
-        let wheel_len = self.len - self.overflow.len();
-        let loc = if wheel_len == 0 {
-            Loc::Overflow
-        } else {
-            self.scan_wheel().unwrap_or_else(|| {
-                // Defensive fallback (Brown's "direct search"): a full
-                // round found nothing, so locate the minimum by scanning
-                // the slab and resume from its day. Unreachable while the
-                // coverage invariant holds.
-                let (mut best, mut best_slot) = (None::<(SimTime, u64)>, 0u32);
-                for (i, s) in self.slab.iter().enumerate() {
-                    if s.event.is_some() && best.map_or(true, |b| (s.time, s.seq) < b) {
-                        best = Some((s.time, s.seq));
-                        best_slot = i as u32;
-                    }
-                }
-                let day = self.slab[best_slot as usize].day;
-                self.cur_day = day;
-                let b = (day & (self.buckets.len() as u64 - 1)) as usize;
-                let pos = self.buckets[b]
-                    .iter()
-                    .position(|&s| s == best_slot)
-                    .expect("minimum entry filed in its bucket");
-                Loc::Bucket {
-                    day,
-                    bucket: b,
-                    pos,
-                    slot: best_slot,
-                }
-            })
-        };
-        self.cached_min = Some(loc);
-        Some(loc)
-    }
-
-    /// One round of the wheel from `cur_day`: the first day with a
-    /// pending event holds the wheel minimum (earliest `(time, seq)`).
-    fn scan_wheel(&mut self) -> Option<Loc> {
-        let n = self.buckets.len() as u64;
-        for step in 0..n {
-            let day = self.cur_day + step;
-            let b = (day & (n - 1)) as usize;
-            let mut best: Option<(SimTime, u64, usize, u32)> = None;
-            for (pos, &slot) in self.buckets[b].iter().enumerate() {
-                let s = &self.slab[slot as usize];
-                // The bucket mixes rounds; only entries of this day count.
-                if s.day == day && best.map_or(true, |(t, q, _, _)| (s.time, s.seq) < (t, q)) {
-                    best = Some((s.time, s.seq, pos, slot));
-                }
-            }
-            if let Some((_, _, pos, slot)) = best {
-                self.cur_day = day;
-                return Some(Loc::Bucket {
-                    day,
-                    bucket: b,
-                    pos,
-                    slot,
-                });
-            }
-        }
-        None
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the calendar is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let loc = self.locate_min()?;
-        self.cached_min = None;
-        let slot = match loc {
-            Loc::Bucket {
-                day, bucket, pos, ..
-            } => {
-                self.cur_day = day;
-                self.buckets[bucket].swap_remove(pos)
-            }
-            Loc::Overflow => {
-                let Reverse((_, _, slot)) = self.overflow.pop().expect("overflow min cached");
-                // Jump the scan straight to the fired day: every earlier
-                // day is empty (the wheel was empty and this was the
-                // overflow minimum).
-                self.cur_day = self.slab[slot as usize].day;
-                slot
-            }
-        };
-        let s = &mut self.slab[slot as usize];
-        let time = s.time;
-        let event = s.event.take().expect("located entry is live");
-        self.free.push(slot);
-        self.len -= 1;
-        let gap = (time.as_secs() - self.now.as_secs()).max(0.0);
-        self.gap_ema = (0.875 * self.gap_ema + 0.125 * gap).max(MIN_WIDTH);
+        let Entry { time, event, .. } = self.heap.pop()?;
         self.now = time;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 4 {
-            let n = self.buckets.len() / 2;
-            self.resize(n);
-        } else {
-            // Width drift: a hold-style steady state (pop one, schedule
-            // one) never crosses the occupancy thresholds, so the width
-            // must chase the observed gap directly or every pop degrades
-            // to a linear same-day bucket scan. Rebuild when the width is
-            // an order of magnitude off target; the wide hysteresis band
-            // (rebuild sets width to the target itself) keeps the O(n)
-            // rebuild rare under smoothly drifting gaps.
-            let target = (2.0 * self.gap_ema).max(MIN_WIDTH);
-            if self.width > 16.0 * target || self.width < target / 8.0 {
-                self.resize(self.buckets.len());
-            }
-        }
         Some((time, event))
     }
 
-    /// Cancels a pending event, returning it. Returns `None` for a stale
-    /// id (already fired or cancelled) — the generation-guard idiom the
-    /// drivers use for superseded completions also works here. O(n): the
-    /// simulator's hot path never cancels, it ignores stale fires.
-    pub fn cancel(&mut self, id: EventId) -> Option<E> {
-        let slot = self
-            .slab
-            .iter()
-            .position(|s| s.seq == id.0 && s.event.is_some())? as u32;
-        let s = &mut self.slab[slot as usize];
-        let day = s.day;
-        let event = s.event.take().expect("checked live");
-        // The entry is wherever `place` filed it, which the moving
-        // horizon can't reconstruct after the fact: try the overflow heap
-        // first (rebuilding it without the entry), else its wheel bucket.
-        let before = self.overflow.len();
-        let drained: Vec<_> = std::mem::take(&mut self.overflow)
-            .into_vec()
-            .into_iter()
-            .filter(|&Reverse((_, _, s))| s != slot)
-            .collect();
-        self.overflow = drained.into();
-        if self.overflow.len() == before {
-            self.remove_from_bucket(day, slot);
-        }
-        self.free.push(slot);
-        self.len -= 1;
-        self.cached_min = None;
-        Some(event)
-    }
-
-    fn remove_from_bucket(&mut self, day: u64, slot: u32) {
-        let b = (day & (self.buckets.len() as u64 - 1)) as usize;
-        let pos = self.buckets[b]
-            .iter()
-            .position(|&s| s == slot)
-            .expect("live entry filed in its bucket");
-        self.buckets[b].swap_remove(pos);
-    }
-
-    /// Rebuilds the wheel with `nbuckets` buckets and a width re-derived
-    /// from the observed inter-pop gap.
-    fn resize(&mut self, nbuckets: usize) {
-        debug_assert!(nbuckets.is_power_of_two());
-        // Aim for ~one event per bucket-day: twice the mean gap keeps a
-        // bucket's same-day scan short without fragmenting bursts.
-        self.width = (2.0 * self.gap_ema).max(MIN_WIDTH);
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.buckets.resize_with(nbuckets, Vec::new);
-        self.overflow.clear();
-        self.cached_min = None;
-        self.cur_day = self.day_of(self.now);
-        for slot in 0..self.slab.len() as u32 {
-            if self.slab[slot as usize].event.is_some() {
-                self.place(slot);
-            }
-        }
-    }
-
     /// The timestamp of the next event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.locate_min().map(|loc| self.loc_time(loc))
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether there are no pending events.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -489,8 +167,6 @@ mod tests {
 
     #[test]
     fn earlier_arrival_after_peek_fires_first() {
-        // Peek advances the scan; a later `schedule` of an earlier event
-        // must rewind it.
         let mut cal = Calendar::new();
         cal.schedule(SimTime::from_secs(10.0), "late");
         assert_eq!(cal.peek_time(), Some(SimTime::from_secs(10.0)));
@@ -502,88 +178,10 @@ mod tests {
     #[test]
     fn far_future_events_overflow_and_return() {
         let mut cal = Calendar::new();
-        // Way past the initial 16-bucket horizon.
         cal.schedule(SimTime::from_secs(1_000.0), "far");
         cal.schedule(SimTime::from_secs(0.001), "near");
         assert_eq!(cal.pop().map(|(_, e)| e), Some("near"));
         assert_eq!(cal.pop().map(|(_, e)| e), Some("far"));
         assert!(cal.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_removes_pending_event() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(SimTime::from_secs(1.0), "a");
-        let b = cal.schedule(SimTime::from_secs(2.0), "b");
-        let far = cal.schedule(SimTime::from_secs(500.0), "far");
-        assert_eq!(cal.cancel(b), Some("b"));
-        assert_eq!(cal.cancel(b), None, "stale id");
-        assert_eq!(cal.cancel(far), Some("far"), "overflow cancel");
-        assert_eq!(cal.pop().map(|(_, e)| e), Some("a"));
-        assert_eq!(cal.cancel(a), None, "fired id is stale");
-        assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn grows_and_shrinks_through_resize_boundaries() {
-        let mut cal = Calendar::new();
-        // Push well past several grow thresholds, then drain fully
-        // (crossing shrink thresholds) and verify global ordering.
-        let mut times = Vec::new();
-        let mut x = 1u64;
-        for i in 0..10_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let t = (x >> 11) as f64 / (1u64 << 53) as f64 * 50.0;
-            times.push((SimTime::from_secs(t), i));
-        }
-        for &(t, i) in &times {
-            cal.schedule(t, i);
-        }
-        assert_eq!(cal.len(), times.len());
-        let mut popped = Vec::new();
-        while let Some((t, i)) = cal.pop() {
-            popped.push((t, i));
-        }
-        let mut expect = times.clone();
-        expect.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        assert_eq!(popped, expect);
-    }
-
-    #[test]
-    fn width_tracks_observed_gap_in_steady_state() {
-        // Constant population, microsecond gaps: far denser than the
-        // initial 2 ms width. The drift trigger must pull the width down
-        // even though `len` never crosses an occupancy threshold.
-        let mut cal = Calendar::new();
-        for i in 0..512u64 {
-            cal.schedule(SimTime::from_secs(i as f64 * 1e-6), i);
-        }
-        for _ in 0..2_000 {
-            let (t, e) = cal.pop().expect("hold model never drains");
-            cal.schedule(t + crate::time::Duration::from_secs(512e-6), e);
-        }
-        assert!(
-            cal.width < 1e-4,
-            "width {} did not adapt to ~1 µs gaps",
-            cal.width
-        );
-    }
-
-    #[test]
-    fn steady_state_reuses_slab_slots() {
-        // Hold model: pop one, schedule one. The slab must not grow past
-        // the initial population.
-        let mut cal = Calendar::new();
-        for i in 0..64u64 {
-            cal.schedule(SimTime::from_secs(i as f64 * 0.01), i);
-        }
-        let cap = cal.slab.len();
-        for _ in 0..10_000 {
-            let (t, e) = cal.pop().expect("hold model never drains");
-            cal.schedule(t + crate::time::Duration::from_secs(0.64), e);
-        }
-        assert_eq!(cal.slab.len(), cap, "steady state must not allocate slots");
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! The kernel provides:
 //!
-//! * [`Calendar`] — a time-ordered event queue with FIFO tie-breaking that
+//! * [`Calendar`] — a time-ordered event heap with FIFO tie-breaking that
 //!   owns the simulation clock;
 //! * [`Cpu`] — a processor with the paper's two-level discipline: FIFO
 //!   system requests preempt processor-shared user requests;
@@ -20,6 +20,8 @@
 //!
 //! The kernel is model-agnostic: the OODBMS client/server model lives in
 //! the `fgs-sim` crate and drives these resources through the calendar.
+//! Nothing in the kernel reads the wall clock or iterates a hash table,
+//! so a model that does neither replays bit-for-bit from its seed.
 //!
 //! ## Example
 //!
@@ -45,10 +47,9 @@ mod cpu;
 mod fifo;
 mod rng;
 mod stats;
-pub mod test_support;
 mod time;
 
-pub use calendar::{Calendar, EventId};
+pub use calendar::Calendar;
 pub use cpu::{Cpu, CpuClass};
 pub use fifo::FifoServer;
 pub use rng::Pcg32;

@@ -1,6 +1,6 @@
 //! Property tests for the simulation kernel's resources: work
-//! conservation, FIFO discipline, and clock monotonicity under random
-//! schedules.
+//! conservation, FIFO discipline, and the calendar's pop order and clock
+//! against a naive oracle under random schedules.
 
 use fgs_simkernel::{Calendar, Cpu, CpuClass, Duration, FifoServer, SimTime};
 use proptest::prelude::*;
@@ -8,6 +8,19 @@ use proptest::prelude::*;
 /// Random (arrival offset ms, instructions, is_system) job descriptions.
 fn jobs() -> impl Strategy<Value = Vec<(u32, u32, bool)>> {
     prop::collection::vec((0u32..2_000, 1u32..2_000_000, any::<bool>()), 1..40)
+}
+
+/// Raw `(kind, offset µs)` calendar operations; the vendored proptest's
+/// `prop_oneof!` is homogeneous, so the test decodes them.
+fn calendar_ops() -> impl Strategy<Value = Vec<(u8, u32)>> {
+    prop::collection::vec((any::<u8>(), any::<u32>()), 1..400)
+}
+
+/// Removes and returns the oracle's next event: the least `(time,
+/// scheduling index)`.
+fn oracle_pop(pending: &mut Vec<(SimTime, usize)>) -> Option<(SimTime, usize)> {
+    let i = (0..pending.len()).min_by(|&a, &b| pending[a].cmp(&pending[b]))?;
+    Some(pending.swap_remove(i))
 }
 
 proptest! {
@@ -90,29 +103,60 @@ proptest! {
         prop_assert_eq!(server.served(), reqs.len() as u64);
     }
 
-    /// The calendar pops in global time order with FIFO tie-break, and
-    /// its clock never goes backwards.
+    /// Random interleavings of schedule (at an offset from `now`, near or
+    /// far), exact-tie and pop operations, checked step by step against a
+    /// naive oracle: every pop returns the pending event with the least
+    /// `(time, scheduling order)`, and `now()` and `len()` agree after
+    /// every operation.
     #[test]
-    fn calendar_orders_random_schedules(times in prop::collection::vec(0u32..10_000, 1..200)) {
+    fn calendar_orders_random_schedules(ops in calendar_ops()) {
         let mut cal: Calendar<usize> = Calendar::new();
-        for (i, &t) in times.iter().enumerate() {
-            cal.schedule(SimTime::from_millis(f64::from(t)), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut last_seq_at_time: Option<usize> = None;
-        let mut count = 0;
-        while let Some((now, i)) = cal.pop() {
-            prop_assert!(now >= last);
-            if now == last {
-                if let Some(prev) = last_seq_at_time {
-                    prop_assert!(i > prev, "FIFO among simultaneous events");
+        // Oracle: pending (time, scheduling index) pairs, unordered.
+        let mut pending: Vec<(SimTime, usize)> = Vec::new();
+        let mut scheduled = 0usize;
+        let mut last_time: Option<SimTime> = None;
+        let mut now = SimTime::ZERO;
+        for &(kind, offset) in &ops {
+            match kind % 6 {
+                // Mostly sub-2 ms gaps, the simulator's regime, with a
+                // tail of far-future events.
+                0..=2 => {
+                    let us = if kind % 6 == 2 {
+                        100_000 + offset % 50_000_000
+                    } else {
+                        offset % 2_000
+                    };
+                    let t = now + Duration::from_secs(f64::from(us) * 1e-6);
+                    cal.schedule(t, scheduled);
+                    pending.push((t, scheduled));
+                    scheduled += 1;
+                    last_time = Some(t);
+                }
+                3 => {
+                    if let Some(t) = last_time.filter(|&t| t >= now) {
+                        cal.schedule(t, scheduled);
+                        pending.push((t, scheduled));
+                        scheduled += 1;
+                    }
+                }
+                _ => {
+                    let want = oracle_pop(&mut pending);
+                    prop_assert_eq!(cal.pop(), want, "pop disagrees with the oracle");
+                    if let Some((t, _)) = want {
+                        now = t;
+                    }
                 }
             }
-            last_seq_at_time = Some(i);
-            last = now;
-            count += 1;
             prop_assert_eq!(cal.now(), now);
+            prop_assert_eq!(cal.len(), pending.len());
+            prop_assert_eq!(cal.is_empty(), pending.is_empty());
         }
-        prop_assert_eq!(count, times.len());
+        loop {
+            let want = oracle_pop(&mut pending);
+            prop_assert_eq!(cal.pop(), want, "drain disagrees with the oracle");
+            let Some((t, _)) = want else { break };
+            prop_assert_eq!(cal.now(), t);
+            prop_assert_eq!(cal.len(), pending.len());
+        }
     }
 }
