@@ -251,10 +251,10 @@ pub const SERVER_ROLE_OWNERS: &[&str] = &["ServerEngine", "ServerRuntime"];
 /// unsound for these two: `Simulator` drives both halves of the wire by
 /// design (its event loop calls `ClientEngine::handle_server`, which
 /// legitimately constructs `Request`s), and `CompletionRouter`'s delivery
-/// path (`deliver_batch`/`deliver`) shares method names with the
-/// simulator's, so the name-based graph bleeds one into the other. For
-/// the same reason their send sets do not flow to their callers (request
-/// runs deliver through the router). Their *direct* constructions are
+/// path (`deliver`) shares its method name with the simulator's, so the
+/// name-based graph bleeds one into the other. For the same reason their
+/// send sets do not flow to their callers (request runs deliver through
+/// the router). Their *direct* constructions are
 /// still fully policed by the origin pass — each may construct exactly
 /// the durability-gated `CommitDone`, and only in the function the
 /// origin table names.

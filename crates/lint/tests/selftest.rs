@@ -280,9 +280,9 @@ fn seeded_client_state_under_conn_writer_is_caught() {
 
 /// The completion router's invariant — `CompletionState` is never held
 /// across a delivery — is checked, not just commented: a client runtime
-/// is its own port (`ClientShared`'s `deliver_batch` takes
-/// `ClientState`), so delivering under the router guard inverts the DAG.
-/// The port is resolved by name, exactly as in `CompletionRouter::drain`.
+/// is its own port (`ClientShared`'s `deliver` takes `ClientState`), so
+/// delivering under the router guard inverts the DAG. The port is
+/// resolved by name, exactly as in `CompletionRouter::drain`.
 #[test]
 fn seeded_delivery_under_completion_state_is_caught() {
     let mut sources = workspace_sources();
@@ -291,10 +291,10 @@ fn seeded_delivery_under_completion_state_is_caught() {
         r#"
         struct Seeded { state: Mutex<CompletionState> }
         impl Seeded {
-            fn bad(&self, ports: &PortMap, run: Vec<ToClient>) {
+            fn bad(&self, ports: &PortMap, env: ToClient) {
                 let g = self.state.lock();
                 if let Some(port) = ports.lookup_port(0) {
-                    port.deliver_batch(run);
+                    port.deliver(env);
                 }
                 drop(g);
             }

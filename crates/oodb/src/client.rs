@@ -134,21 +134,6 @@ impl ClientShared {
         self.turn(ClientRuntime::close);
     }
 
-    /// Handles a run of server envelopes under one lock hold. Stops at the
-    /// first envelope that finds the runtime dead; `false` tells the
-    /// deliverer to drop the rest.
-    fn handle_run(&self, envs: impl IntoIterator<Item = ToClient>) -> bool {
-        self.turn(|rt| {
-            for env in envs {
-                if rt.dead.is_some() {
-                    break;
-                }
-                rt.handle_server(env);
-            }
-            rt.dead.is_none()
-        })
-    }
-
     /// Runs `f` under the lock, then — unlocked — wakes the parked caller
     /// if its call completed, and serves what `f` queued for the server.
     fn turn<R>(&self, f: impl FnOnce(&mut ClientRuntime) -> R) -> R {
@@ -168,8 +153,8 @@ impl ClientShared {
     }
 
     /// Serves `run`, then whatever else the outbox holds — including what
-    /// nested deliveries to this client queued meanwhile — one batch at a
-    /// time, unlocked; returns with the lock held and the outbox empty.
+    /// nested deliveries to this client queued meanwhile — one request at
+    /// a time, unlocked; returns with the lock held and the outbox empty.
     /// A refused run means the server is closed (or gone): a lost
     /// connection.
     fn serve(&self, mut run: Run) -> MutexGuard<'_, ClientRuntime> {
@@ -209,13 +194,15 @@ impl ClientShared {
 /// nothing. Under `ClientState` the client only queues into its outbox
 /// or, over TCP, writes a socket (DESIGN.md §10).
 impl ClientPort for ClientShared {
+    /// `false` once the runtime is dead: the deliverer drops the rest of
+    /// the client's stream.
     fn deliver(&self, env: ToClient) -> bool {
-        self.handle_run(std::iter::once(env))
-    }
-
-    /// The whole run under one lock hold and at most one wake-up.
-    fn deliver_batch(&self, envs: Vec<ToClient>) -> bool {
-        self.handle_run(envs)
+        self.turn(|rt| {
+            if rt.dead.is_none() {
+                rt.handle_server(env);
+            }
+            rt.dead.is_none()
+        })
     }
 
     /// The transport lost the server: fails the parked caller and every
@@ -504,7 +491,7 @@ impl ClientRuntime {
             other => {
                 if self.dead.is_some() {
                     // The call already failed: a send earlier in this
-                    // same batch of engine actions lost the connection.
+                    // same list of engine actions lost the connection.
                     return;
                 }
                 panic!("grant without a matching app call: {other:?}")
@@ -686,18 +673,16 @@ mod testkit {
     }
 
     impl Serve for InlineServer {
-        fn serve(&self, batch: Vec<ToServer>) -> bool {
-            for env in batch {
-                let ToServer::Req { req, .. } = env else {
-                    continue; // the goodbye
-                };
-                self.served.lock().push(req.clone());
-                if let Request::Read { txn, oid } = req {
-                    let client = self.client.get().and_then(Weak::upgrade);
-                    client
-                        .expect("the client outlives its runs")
-                        .deliver(page_grant(txn, oid, false));
-                }
+        fn serve(&self, env: ToServer) -> bool {
+            let ToServer::Req { req, .. } = env else {
+                return true; // the goodbye
+            };
+            self.served.lock().push(req.clone());
+            if let Request::Read { txn, oid } = req {
+                let client = self.client.get().and_then(Weak::upgrade);
+                client
+                    .expect("the client outlives its runs")
+                    .deliver(page_grant(txn, oid, false));
             }
             true
         }
@@ -973,13 +958,10 @@ mod tests {
         assert_eq!(rig.wire.closes.load(Ordering::SeqCst), 1);
         assert_eq!(rig.session.read(a), Err(TxnError::Closed));
         assert_eq!(rig.session.begin(), Err(TxnError::Closed));
-        // The grant, when it finally comes, is refused with the rest of
-        // its run.
-        let run = vec![
-            page_grant(txn, a, false),
-            control(ServerMsg::CommitDone { txn }),
-        ];
-        assert!(!rig.shared.deliver_batch(run));
+        // The grant, when it finally comes, is refused, and so is what
+        // follows it.
+        assert!(!rig.shared.deliver(page_grant(txn, a, false)));
+        assert!(!rig.shared.deliver(control(ServerMsg::CommitDone { txn })));
         let rt = rig.shared.state.lock();
         assert!(rt.waiting.is_none() && rt.done.is_none());
     }

@@ -33,8 +33,8 @@ use std::sync::Arc;
 /// A shared, immutable byte payload on the server→client wire.
 ///
 /// Grants that fan the same page image (or object bytes) to several
-/// clients in one engine batch clone the `Arc`, not the bytes — the
-/// server copies each payload out of the store once per batch. The inner
+/// clients in one request's outcome clone the `Arc`, not the bytes — the
+/// server copies each payload out of the store once per request. The inner
 /// `Vec` (rather than `Arc<[u8]>`) lets the *last* receiver reclaim the
 /// buffer with [`into_owned`] instead of copying it again.
 pub type SharedBytes = Arc<Vec<u8>>;

@@ -5,8 +5,8 @@
 //! request path (durability, protocol, data attach, send). This one
 //! splits the path into stages with independent synchronization:
 //!
-//! * **Runs** — whoever produces a batch of one client's requests carries
-//!   it through every stage below, delivery included, on its own thread
+//! * **Runs** — whoever produces one of a client's requests carries it
+//!   through every stage below, delivery included, on its own thread
 //!   ([`Serve::serve`]): the client's caller or deliverer on the channel
 //!   transport, the connection's reader over TCP. One producer at a time
 //!   per client keeps its requests FIFO; different clients run
@@ -26,9 +26,9 @@
 //!   synchronization). A storage error here aborts the affected
 //!   transaction ([`AbortReason::Server`]) instead of panicking.
 //! * **Completion** — the [`CompletionRouter`] restores the engine's
-//!   order and delivers. A run submits its stamped batch; the batch
-//!   waits until every lower sequence number has been submitted, then
-//!   joins its clients' queues and goes out on the submitting run's
+//!   order and delivers. A run submits its stamped messages; they wait
+//!   until every lower sequence number has been submitted, then join
+//!   their clients' queues and go out on the submitting run's
 //!   thread, so every client observes the engine's order even though
 //!   attaches finish out of order. Each commit ack is held until the
 //!   durable watermark passes its LSN, then emitted as `CommitDone`; a
@@ -54,11 +54,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Hard cap on how many queued requests one run takes (one
-/// protocol-lock acquisition, one sequence number, one invariant
-/// sample). Bounds both latency and the size of a submitted batch.
-pub(crate) const DISPATCH_BATCH: usize = 64;
-
 /// Backpressure cap on the WAL's active append buffer. A run blocks
 /// appending only when the active buffer holds this much *and* the
 /// sealed shadow segment is still being written — i.e. the log device
@@ -69,7 +64,7 @@ const APPEND_CAP: usize = 1 << 20;
 /// Everything in here is touched only under the one (small) mutex.
 struct ProtocolStage {
     engine: ServerEngine,
-    /// Next batch sequence number; assigned under the engine lock so the
+    /// Next run's sequence number; assigned under the engine lock so the
     /// completion router can restore the engine's serialization order.
     next_seq: u64,
 }
@@ -80,15 +75,14 @@ pub(crate) enum OutMsg {
     /// Deliverable as-is (unless queued behind a pending ack).
     Env(ToClient),
     /// Becomes `CommitDone` once the durable watermark reaches `ack_lsn`
-    /// (the WAL tail at the owning batch's append pre-pass — covering the
-    /// commit's own records *and* every record its reads could depend
-    /// on).
+    /// (the WAL tail right after the commit's append — covering its own
+    /// records *and* every record its reads could depend on).
     Ack {
         /// The committed transaction.
         txn: TxnId,
         /// Watermark the durable horizon must reach before the ack.
         ack_lsn: Lsn,
-        /// Batch arrival, for end-to-end commit latency.
+        /// Request arrival, for end-to-end commit latency.
         t0: Instant,
     },
 }
@@ -160,7 +154,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-stage timing and batching counters for the server pipeline, all
+/// Per-stage timing and traffic counters for the server pipeline, all
 /// relaxed atomics (observability only; never ordering-bearing). Merged
 /// into [`StoreStats`] by [`ServerRuntime::store_stats`].
 pub(crate) struct PipelineMetrics {
@@ -170,8 +164,7 @@ pub(crate) struct PipelineMetrics {
     lock_wait_ns: AtomicU64,
     lock_hold_ns: AtomicU64,
     lock_acquisitions: AtomicU64,
-    dispatch_batches: AtomicU64,
-    dispatch_batch_msgs: AtomicU64,
+    requests: AtomicU64,
     send_batches: AtomicU64,
     send_batch_msgs: AtomicU64,
     deferred_acks: AtomicU64,
@@ -187,8 +180,7 @@ impl PipelineMetrics {
             lock_wait_ns: AtomicU64::new(0),
             lock_hold_ns: AtomicU64::new(0),
             lock_acquisitions: AtomicU64::new(0),
-            dispatch_batches: AtomicU64::new(0),
-            dispatch_batch_msgs: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
             send_batches: AtomicU64::new(0),
             send_batch_msgs: AtomicU64::new(0),
             deferred_acks: AtomicU64::new(0),
@@ -208,8 +200,9 @@ impl PipelineMetrics {
         stats.lock_wait_ns = self.lock_wait_ns.load(Ordering::Relaxed);
         stats.lock_hold_ns = self.lock_hold_ns.load(Ordering::Relaxed);
         stats.lock_acquisitions = self.lock_acquisitions.load(Ordering::Relaxed);
-        stats.dispatch_batches = self.dispatch_batches.load(Ordering::Relaxed);
-        stats.dispatch_batch_msgs = self.dispatch_batch_msgs.load(Ordering::Relaxed);
+        // One request per run: both inbound fields count requests.
+        stats.dispatch_batches = self.requests.load(Ordering::Relaxed);
+        stats.dispatch_batch_msgs = stats.dispatch_batches;
         stats.send_batches = self.send_batches.load(Ordering::Relaxed);
         stats.send_batch_msgs = self.send_batch_msgs.load(Ordering::Relaxed);
         stats.deferred_acks = self.deferred_acks.load(Ordering::Relaxed);
@@ -231,13 +224,13 @@ struct ClientQueue {
     releasing: bool,
 }
 
-/// Router state: the engine-order cursor and the batches parked ahead of
+/// Router state: the engine-order cursor and the runs parked ahead of
 /// it, the durable watermark and who is forcing the log toward the next
 /// one, and the per-client barrier queues.
 struct CompletionState {
     /// The next sequence number to move into the client queues.
     next_seq: u64,
-    /// Submitted batches whose sequence number is above `next_seq`.
+    /// Submitted runs' messages whose sequence number is above `next_seq`.
     held: HashMap<u64, Vec<(ClientId, OutMsg)>>,
     /// The log's durable watermark as of the last finished force cycle.
     durable: Lsn,
@@ -249,8 +242,8 @@ struct CompletionState {
 }
 
 /// The completion stage: the one place outbound messages are ordered.
-/// Runs submit batches stamped with the sequence number taken under
-/// [`ProtocolStage`]; a batch joins the per-client queues only once
+/// Runs submit their messages stamped with the sequence number taken
+/// under [`ProtocolStage`]; they join the per-client queues only once
 /// every lower number has, so each client sees messages in the engine's
 /// order. `CommitDone` for a registered ack is emitted only once the
 /// durable watermark passes the ack's LSN, preserving the WAL rule
@@ -263,7 +256,7 @@ struct CompletionState {
 /// cycle in flight may have missed wait on `forced` for it to end.
 ///
 /// Invariant: `CompletionState` is never held across
-/// [`deliver_batch`](crate::transport::ClientPort::deliver_batch) — a
+/// [`deliver`](crate::transport::ClientPort::deliver) — a
 /// port write is I/O; the per-client `releasing` flag orders concurrent
 /// deliverers instead.
 pub(crate) struct CompletionRouter {
@@ -285,13 +278,14 @@ impl CompletionRouter {
         }
     }
 
-    /// Run side: submits the batch stamped `seq` (possibly empty) and,
-    /// if it is next in engine order, moves it and every consecutive
-    /// held batch into the per-client queues, then delivers every client
-    /// touched on the calling thread. A batch that is not yet next stays
-    /// held; the run that submits the missing sequence number delivers
-    /// it. Each sequence number must be submitted exactly once.
-    pub(crate) fn submit_batch(
+    /// Run side: submits the messages stamped `seq` (possibly none) and,
+    /// if they are next in engine order, moves them and every
+    /// consecutive held run's into the per-client queues, then delivers
+    /// every client touched on the calling thread. Messages that are not
+    /// yet next stay held; the run that submits the missing sequence
+    /// number delivers them. Each sequence number must be submitted
+    /// exactly once.
+    pub(crate) fn submit(
         &self,
         seq: u64,
         msgs: Vec<(ClientId, OutMsg)>,
@@ -307,8 +301,7 @@ impl CompletionRouter {
                 g.next_seq += 1;
                 // A client never observes another client's messages, so
                 // only each client's own order matters: appending item
-                // by item keeps it, and one drain per client below
-                // delivers the whole run as one batch.
+                // by item keeps it.
                 for (to, m) in msgs {
                     if !touched.contains(&to) {
                         touched.push(to);
@@ -368,12 +361,12 @@ impl CompletionRouter {
 
     /// Pops `client`'s releasable prefix under the router lock: leading
     /// envelopes plus any ack whose watermark the durable horizon has
-    /// passed (each ack becoming its `CommitDone`). Returns an empty run
+    /// passed (each ack becoming its `CommitDone`). Returns an empty prefix
     /// when nothing is ready — or when another thread is already
     /// delivering for this client (the `releasing` flag; that thread's
     /// drain loop will pick up whatever we just made ready). A non-empty
-    /// return transfers the flag to the caller, who must deliver the run
-    /// and then [`finish_release`](Self::finish_release).
+    /// return transfers the flag to the caller, who must deliver the
+    /// prefix and then [`finish_release`](Self::finish_release).
     fn release_ready(
         &self,
         client: ClientId,
@@ -447,7 +440,11 @@ impl CompletionRouter {
             // a reconnected successor is filtered client-side by the
             // stale-txn check, so late release stays exactly-once.
             if let Some(port) = ports.lookup_port(client.0) {
-                let _ = port.deliver_batch(run);
+                for env in run {
+                    if !port.deliver(env) {
+                        break;
+                    }
+                }
             }
             self.finish_release(client);
             // The watermark (or the queue) may have moved while we were
@@ -473,19 +470,8 @@ pub(crate) struct ServerRuntime {
     pending_commits: AtomicU64,
     /// Refuses every later run.
     closed: AtomicBool,
-    /// Run engine invariant checks after every batch even in release.
+    /// Run engine invariant checks after every request even in release.
     paranoid: bool,
-}
-
-/// One message of an inbound batch after the durability pre-pass: what
-/// the protocol stage should do for it under the (single) lock hold.
-enum Step {
-    /// Run the request through the engine.
-    Handle(ClientId, Request),
-    /// The client's connection died; purge it.
-    Gone(ClientId),
-    /// The commit's install failed; abort the transaction server-side.
-    ServerAbort(TxnId),
 }
 
 impl ServerRuntime {
@@ -526,7 +512,7 @@ impl ServerRuntime {
         &self.ports
     }
 
-    /// Durability counters plus the pipeline's timing/batching counters.
+    /// Durability counters plus the pipeline's timing/traffic counters.
     pub(crate) fn store_stats(&self) -> StoreStats {
         let mut stats = self.store.stats();
         self.metrics.fill(&mut stats);
@@ -591,82 +577,57 @@ impl ServerRuntime {
 
     // -- the request pipeline -----------------------------------------
 
-    /// Runs one batch of one client's requests through the pipeline
-    /// stages on the calling thread.
+    /// Runs one of a client's requests through the pipeline stages on
+    /// the calling thread.
     ///
-    /// The whole batch shares one durability pre-pass, one
-    /// protocol-lock acquisition, one sequence number and one invariant
-    /// sample. Durability first — but only the *append* half: every
-    /// commit's updates are installed and its commit record appended
-    /// before the engine releases any lock, and the batch's watermark is
-    /// the WAL tail, covering the appended records *and* everything any
-    /// read-only commit in the batch could have read. Then the protocol
-    /// stage replays the batch in arrival order under a single lock
-    /// hold, and the dispatch stage attaches payloads outside it and
-    /// submits the batch, whose acks park in the completion router.
-    /// Last, a batch with commits forces the log through its watermark
-    /// ([`force`](Self::force)) and delivers the acks that released.
-    fn handle_batch(&self, batch: Vec<ToServer>) {
+    /// Durability first — but only the *append* half: a commit's updates
+    /// are installed and its commit record appended before the engine
+    /// releases any lock, and its watermark is the WAL tail, covering the
+    /// appended records *and* everything a read-only commit could have
+    /// read. Then the protocol stage runs the request under the lock, and
+    /// the dispatch stage attaches payloads outside it and submits the
+    /// messages, whose acks park in the completion router. Last, a commit
+    /// forces the log through its watermark ([`force`](Self::force)) and
+    /// delivers the acks that released.
+    fn handle(&self, env: ToServer) {
         let t_start = Instant::now();
-        PipelineMetrics::add(&self.metrics.dispatch_batches, 1);
-        PipelineMetrics::add(&self.metrics.dispatch_batch_msgs, batch.len() as u64);
+        PipelineMetrics::add(&self.metrics.requests, 1);
 
-        // Durability stage: install + append, no force.
-        let mut steps: Vec<Step> = Vec::with_capacity(batch.len());
-        let mut commits = 0u64;
-        for env in batch {
-            match env {
-                ToServer::Disconnect { from } => steps.push(Step::Gone(from)),
-                ToServer::Req {
-                    from,
-                    req,
-                    commit_data,
-                } => {
-                    if let Request::Commit { txn, .. } = &req {
-                        commits += 1;
-                        // Read-only commits (no shipped data) have
-                        // nothing to install; their ack still gates on
-                        // the batch watermark so every commit their
-                        // reads observed is durable first.
-                        if !commit_data.is_empty() {
-                            if let Err(e) = self.install_commit_data(*txn, &commit_data) {
-                                eprintln!(
-                                    "fgs-server: commit install for {txn} failed: {e}; aborting"
-                                );
-                                commits -= 1; // not a commit any more
-                                steps.push(Step::ServerAbort(*txn));
-                                continue;
-                            }
-                        }
-                    }
-                    steps.push(Step::Handle(from, req));
+        // Durability stage: install + append, no force. A read-only
+        // commit (no shipped data) has nothing to install; its ack still
+        // gates on the watermark so every commit its reads observed is
+        // durable first.
+        let mut commit = false;
+        let mut failed = None;
+        if let ToServer::Req {
+            req: Request::Commit { txn, .. },
+            commit_data,
+            ..
+        } = &env
+        {
+            commit = true;
+            if !commit_data.is_empty() {
+                if let Err(e) = self.install_commit_data(*txn, commit_data) {
+                    eprintln!("fgs-server: commit install for {txn} failed: {e}; aborting");
+                    commit = false;
+                    failed = Some(*txn);
                 }
             }
         }
-        // One watermark for the whole batch: everything it appended and
-        // everything its commits' reads depend on sits at or below the
-        // tail right now.
-        let ack_lsn = if commits > 0 {
-            self.store.wal().len()
-        } else {
-            0
-        };
+        // Everything the commit appended and everything its reads depend
+        // on sits at or below the tail right now.
+        let ack_lsn = commit.then(|| self.store.wal().len());
         let t_durable = Instant::now();
 
-        // Protocol stage: the in-memory state transitions, single-writer,
-        // one lock acquisition for the whole batch.
+        // Protocol stage: the in-memory state transition, single-writer.
         let (actions, seq) = {
             let mut g = self.protocol.lock();
             let t_locked = Instant::now();
-            let mut actions: Vec<ServerAction> = Vec::new();
-            for step in steps {
-                let outcome = match step {
-                    Step::Handle(from, req) => g.engine.handle(from, req),
-                    Step::Gone(from) => g.engine.client_gone(from),
-                    Step::ServerAbort(txn) => g.engine.abort_txn(txn, AbortReason::Server),
-                };
-                actions.extend(outcome.actions);
-            }
+            let outcome = match (env, failed) {
+                (_, Some(txn)) => g.engine.abort_txn(txn, AbortReason::Server),
+                (ToServer::Req { from, req, .. }, None) => g.engine.handle(from, req),
+                (ToServer::Disconnect { from }, None) => g.engine.client_gone(from),
+            };
             self.maybe_check(&g.engine);
             let seq = g.next_seq;
             g.next_seq += 1;
@@ -680,21 +641,17 @@ impl ServerRuntime {
                 &self.metrics.lock_hold_ns,
                 (t_unlocked - t_locked).as_nanos() as u64,
             );
-            (actions, seq)
+            (outcome.actions, seq)
         };
         let t_protocol = Instant::now();
 
         // Dispatch stage: attach payloads outside the lock, deliver.
-        self.dispatch(actions, seq, ack_lsn, t_start);
+        self.dispatch(actions, seq, ack_lsn.unwrap_or(0), t_start);
         let t_dispatched = Instant::now();
 
-        // Durability stage, force half: make the batch's acks durable,
-        // then deliver them (and whatever else the force released).
-        let durable = if commits > 0 {
-            self.force(ack_lsn)
-        } else {
-            None
-        };
+        // Durability stage, force half: make the commit's ack durable,
+        // then deliver it (and whatever else the force released).
+        let durable = ack_lsn.and_then(|lsn| self.force(lsn));
         let t_forced = Instant::now();
         if let Some(durable) = durable {
             self.completion.advance(durable, &self.ports, &self.metrics);
@@ -739,20 +696,19 @@ impl ServerRuntime {
     }
 
     /// Attach + delivery stage: copies data payloads out of the store
-    /// (outside the engine lock) and submits the stamped batch to the
-    /// completion router, which delivers it on this thread once it is
-    /// next in engine order. Transactions whose grants hit a storage
+    /// (outside the engine lock) and submits the stamped messages to the
+    /// completion router, which delivers them on this thread once they
+    /// are next in engine order. Transactions whose grants hit a storage
     /// error are aborted, cascading until no new failures appear.
     ///
     /// Invariant: every sequence number taken under [`ProtocolStage`] is
-    /// submitted exactly once — an empty batch and each cascading-abort
-    /// batch below included — or the router holds every later batch
-    /// forever.
+    /// submitted exactly once — an empty run and each cascading abort
+    /// below included — or the router holds every later run forever.
     fn dispatch(&self, actions: Vec<ServerAction>, seq: u64, ack_lsn: Lsn, t0: Instant) {
         let mut failed: Vec<TxnId> = Vec::new();
-        let msgs = self.attach_batch(actions, ack_lsn, t0, &mut failed);
+        let msgs = self.attach(actions, ack_lsn, t0, &mut failed);
         self.completion
-            .submit_batch(seq, msgs, &self.ports, &self.metrics);
+            .submit(seq, msgs, &self.ports, &self.metrics);
         while let Some(txn) = failed.pop() {
             let (outcome, seq) = {
                 let mut g = self.protocol.lock();
@@ -762,22 +718,23 @@ impl ServerRuntime {
                 g.next_seq += 1;
                 (outcome, seq)
             };
-            let msgs = self.attach_batch(outcome.actions, ack_lsn, t0, &mut failed);
+            let msgs = self.attach(outcome.actions, ack_lsn, t0, &mut failed);
             self.completion
-                .submit_batch(seq, msgs, &self.ports, &self.metrics);
+                .submit(seq, msgs, &self.ports, &self.metrics);
         }
     }
 
     /// Attaches data to each outbound message; commit acks pass through
-    /// as [`OutMsg::Ack`] carrying the batch watermark. A message whose
+    /// as [`OutMsg::Ack`] carrying the request's watermark. A message whose
     /// attach fails is dropped and its transaction recorded in `failed`;
     /// the subsequent server-side abort tells the client.
     ///
-    /// Payloads are memoized per batch: when one engine batch grants the
-    /// same page (or object) to several clients — read grants after a
-    /// commit releases a lock, callback-completion fan-out — the bytes
-    /// are copied out of the store once and shared via [`SharedBytes`].
-    fn attach_batch(
+    /// Payloads are memoized per request: when one request's outcome
+    /// grants the same page (or object) to several clients — read grants
+    /// after a commit releases a lock, callback-completion fan-out — the
+    /// bytes are copied out of the store once and shared via
+    /// [`SharedBytes`].
+    fn attach(
         &self,
         actions: Vec<ServerAction>,
         ack_lsn: Lsn,
@@ -809,7 +766,7 @@ impl ServerRuntime {
     }
 
     /// Attaches page images / object bytes to grants, consulting the
-    /// per-batch memo before touching the store. Control messages pass
+    /// per-request memo before touching the store. Control messages pass
     /// through untouched.
     fn attach_data(
         &self,
@@ -873,11 +830,11 @@ impl ServerRuntime {
 /// only for a sealed segment with no [`WalHold`], which only a forcing
 /// run's seal → write step leaves, with no delivery in between.
 impl Serve for ServerRuntime {
-    fn serve(&self, batch: Vec<ToServer>) -> bool {
+    fn serve(&self, env: ToServer) -> bool {
         if self.closed.load(Ordering::Acquire) {
             return false;
         }
-        self.handle_batch(batch);
+        self.handle(env);
         true
     }
 }
@@ -899,7 +856,7 @@ fn retry_io<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T>
 }
 
 /// The completion router on its own, deterministically: engine order
-/// restored from out-of-order submissions, empty batches, and acks
+/// restored from out-of-order submissions, empty submissions, and acks
 /// against the durable watermark.
 #[cfg(test)]
 mod tests {
@@ -945,8 +902,7 @@ mod tests {
         }
 
         fn submit(&self, seq: u64, msgs: Vec<(ClientId, OutMsg)>) {
-            self.router
-                .submit_batch(seq, msgs, &self.ports, &self.metrics);
+            self.router.submit(seq, msgs, &self.ports, &self.metrics);
         }
 
         fn advance(&self, durable: Lsn) {
@@ -990,11 +946,11 @@ mod tests {
         // Seq 1 arrives first: it is held, nothing goes out.
         rig.submit(1, vec![env(0, 2), env(1, 2)]);
         assert!(rig.seen(0).is_empty() && rig.seen(1).is_empty());
-        // Seq 0 releases both batches, in seq order for each client.
+        // Seq 0 releases both submissions, in seq order for each client.
         rig.submit(0, vec![env(1, 1), env(0, 1)]);
         assert_eq!(rig.seen(0), vec![done(0, 1), done(0, 2)]);
         assert_eq!(rig.seen(1), vec![done(1, 1), done(1, 2)]);
-        // An empty batch still takes its place in the sequence: seq 3
+        // An empty submission still takes its place in the sequence: seq 3
         // waits for it, and goes out once it arrives.
         rig.submit(3, vec![env(0, 3)]);
         assert_eq!(rig.seen(0).len(), 2);
@@ -1144,7 +1100,7 @@ mod loom_tests {
                 g.next_seq - 1
             };
             rt.completion
-                .submit_batch(seq, vec![(ClientId(c), ack)], &rt.ports, &rt.metrics);
+                .submit(seq, vec![(ClientId(c), ack)], &rt.ports, &rt.metrics);
             rt.make_durable(ack_lsn);
         })
     }
@@ -1245,10 +1201,7 @@ mod loom_tests {
             let submit = |seq: u64, msgs: Vec<OutMsg>| {
                 let rt = Arc::clone(&rt);
                 let msgs: Vec<_> = msgs.into_iter().map(|m| (client, m)).collect();
-                thread::spawn(move || {
-                    rt.completion
-                        .submit_batch(seq, msgs, &rt.ports, &rt.metrics)
-                })
+                thread::spawn(move || rt.completion.submit(seq, msgs, &rt.ports, &rt.metrics))
             };
             let second = submit(1, vec![OutMsg::Env(env(3))]);
             let first = submit(0, vec![OutMsg::Env(env(1)), ack]);

@@ -11,7 +11,6 @@
 
 use super::{RequestSink, Run, Serve};
 use crate::error::TxnError;
-use crate::server::DISPATCH_BATCH;
 use crate::wire::ToServer;
 use fgs_core::{ClientId, Oid, Request};
 use std::collections::VecDeque;
@@ -23,7 +22,7 @@ pub(crate) struct ChannelSink {
     server: Weak<dyn Serve>,
     outbox: VecDeque<ToServer>,
     /// A thread is serving the outbox; others leave what they queue to
-    /// it, so a client's requests run one batch at a time, in order.
+    /// it, so a client's requests run one at a time, in order.
     serving: bool,
 }
 
@@ -64,11 +63,8 @@ impl RequestSink for ChannelSink {
         if self.serving && !resume {
             return None;
         }
-        self.serving = !self.outbox.is_empty();
-        if !self.serving {
-            return None;
-        }
-        let n = self.outbox.len().min(DISPATCH_BATCH);
-        Some((self.server.clone(), self.outbox.drain(..n).collect()))
+        let next = self.outbox.pop_front();
+        self.serving = next.is_some();
+        Some((self.server.clone(), next?))
     }
 }

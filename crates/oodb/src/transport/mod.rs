@@ -105,24 +105,24 @@ pub(crate) trait RequestSink: Send {
     fn close(&mut self) {}
 
     /// An in-process sink only queues: the thread that queued claims the
-    /// requests here, under the lock, to serve once unlocked. `None` when
-    /// nothing is queued or another thread is serving them (it takes the
-    /// new ones too); `resume` is that thread asking for more.
+    /// next request here, under the lock, to serve once unlocked. `None`
+    /// when nothing is queued or another thread is serving the queue (it
+    /// takes the new ones too); `resume` is that thread asking for more.
     fn claim_run(&mut self, _resume: bool) -> Option<Run> {
         None
     }
 }
 
-/// The server end: runs a batch of one client's requests through the
-/// whole pipeline, delivery included, on the calling thread, which holds
-/// no lock. `false`: the server is closed and ran nothing.
+/// The server end: runs one of a client's requests through the whole
+/// pipeline, delivery included, on the calling thread, which holds no
+/// lock. `false`: the server is closed and ran nothing.
 pub(crate) trait Serve: Send + Sync {
-    fn serve(&self, batch: Vec<ToServer>) -> bool;
+    fn serve(&self, env: ToServer) -> bool;
 }
 
-/// Claimed requests and the server to run them on — by weak reference,
+/// A claimed request and the server to run it on — by weak reference,
 /// as the server owns its clients' ports; a server that is gone is closed.
-pub(crate) type Run = (Weak<dyn Serve>, Vec<ToServer>);
+pub(crate) type Run = (Weak<dyn Serve>, ToServer);
 
 /// The server→client half of a transport: the completion router
 /// delivers engine-ordered envelopes through it, and a TCP client's
@@ -130,20 +130,9 @@ pub(crate) type Run = (Weak<dyn Serve>, Vec<ToServer>);
 /// runtime through the same trait.
 pub(crate) trait ClientPort: Send + Sync {
     /// Delivers one envelope; `false` means the port is dead (the router
-    /// drops the message — the peer is gone).
+    /// drops the message and the rest of the client's released prefix —
+    /// the peer is gone).
     fn deliver(&self, env: ToClient) -> bool;
-
-    /// Delivers a run of envelopes addressed to this client, preserving
-    /// their order; `false` means the port died part-way (remaining
-    /// envelopes are dropped — the peer is gone). The default is one
-    /// [`deliver`](ClientPort::deliver) per envelope; ports with a
-    /// cheaper coalesced path (TCP's single vectored write per batch, the
-    /// client runtime's single lock hold per run) override it.
-    /// Fault-injecting wrappers deliberately keep the default so the
-    /// chaos schedule still sees every message.
-    fn deliver_batch(&self, envs: Vec<ToClient>) -> bool {
-        envs.into_iter().all(|env| self.deliver(env))
-    }
 
     /// The connection is gone: a TCP port shuts its socket; a client
     /// runtime fails its parked call and every later one with

@@ -51,7 +51,7 @@ struct ConnWriter {
     /// A failed or timed-out write poisons the connection; later sends
     /// fail fast instead of interleaving bytes into a torn frame.
     dead: bool,
-    /// Reusable batch encoder: frame headers land in its scratch buffer,
+    /// Reusable frame encoder: frame headers land in its scratch buffer,
     /// payload bodies stay borrowed from their [`SharedBytes`] Arcs —
     /// the zero-copy send path (DESIGN.md §15). Living inside the
     /// `ConnWriter` lock, it needs no synchronization of its own.
@@ -77,19 +77,13 @@ impl TcpPeer {
         }
     }
 
-    /// Writes one frame, whole or not at all from this side's view: any
-    /// error (including a write timeout) kills the connection.
+    /// Writes one frame, whole or not at all from this side's view: it is
+    /// encoded into the connection's reusable scratch buffer (payload
+    /// bodies borrowed, never copied) and emitted with one vectored write
+    /// and one flush. Any error (including a write timeout) kills the
+    /// connection — the peer's reader sees a torn stream and treats the
+    /// connection as dead.
     fn send_frame(&self, frame: &Frame) -> io::Result<()> {
-        self.send_frames(std::slice::from_ref(frame))
-    }
-
-    /// Writes a run of frames as one coalesced wire burst: the whole
-    /// batch is encoded into the connection's reusable scratch buffer
-    /// (payload bodies borrowed, never copied) and emitted with a single
-    /// vectored write + flush. Any error (including a write timeout)
-    /// kills the connection — the peer's reader sees a torn stream and
-    /// treats the connection as dead, exactly like a single torn frame.
-    fn send_frames(&self, frames: &[Frame]) -> io::Result<()> {
         let mut w = self.writer.lock();
         if w.dead {
             return Err(io::Error::new(
@@ -104,9 +98,7 @@ impl TcpPeer {
                 encoder,
             } = &mut *w;
             encoder.clear();
-            for frame in frames {
-                encoder.push_frame(frame);
-            }
+            encoder.push_frame(frame);
             write_all_segments(stream, &encoder.segments())
         };
         match result {
@@ -128,7 +120,7 @@ impl TcpPeer {
 }
 
 /// Writes every segment to the stream with as few syscalls as the OS
-/// allows — one `write_vectored` covers the whole batch in the common
+/// allows — one `write_vectored` covers the whole frame in the common
 /// case — then flushes once. Partial writes resume from the exact byte
 /// reached (`(idx, off)` walks the segment list), so a frame is never
 /// torn by this side.
@@ -228,20 +220,6 @@ impl ClientPort for TcpPort {
                 object_bytes: env.object_bytes,
             })
             .is_ok()
-    }
-
-    /// Coalesced path: the whole run becomes one vectored socket write
-    /// (payload bodies borrowed straight from the attach stage's Arcs).
-    fn deliver_batch(&self, envs: Vec<ToClient>) -> bool {
-        let frames: Vec<Frame> = envs
-            .into_iter()
-            .map(|env| Frame::Server {
-                msg: env.msg,
-                page_image: env.page_image,
-                object_bytes: env.object_bytes,
-            })
-            .collect();
-        self.peer.send_frames(&frames).is_ok()
     }
 
     fn close(&self) {
@@ -443,7 +421,7 @@ fn serve_conn(stream: TcpStream, welcome: WelcomeInfo, server: &ServerRuntime, c
                 req,
                 commit_data,
             };
-            if !server.serve(vec![req]) {
+            if !server.serve(req) {
                 break;
             }
         }
@@ -453,7 +431,7 @@ fn serve_conn(stream: TcpStream, welcome: WelcomeInfo, server: &ServerRuntime, c
     // can only rebind the id after the deregister, so its first request
     // runs after this notice and cannot be swept up by the old
     // connection's cleanup.
-    server.serve(vec![ToServer::Disconnect { from: ClientId(id) }]);
+    server.serve(ToServer::Disconnect { from: ClientId(id) });
     ports.deregister_port(id, &port);
     peer.shutdown_conn();
 }

@@ -1,30 +1,24 @@
-//! Ordering guarantees under batched dispatch: a run takes a client's
-//! queued requests into one protocol-lock hold, and the completion
-//! router coalesces per-client runs into one delivery — neither may
-//! reorder.
+//! Ordering guarantees of the request and delivery paths: a client's
+//! requests run one at a time, in the order it sent them, and the
+//! completion router hands each client its messages in engine order —
+//! neither may reorder.
 //!
 //! Two properties are exercised, explicitly over **both** transports
-//! (the channel backend's per-client outboxes and TCP's coalesced
-//! vectored writes have different reordering opportunities):
+//! (the channel backend's per-client outboxes and TCP's per-connection
+//! reader threads have different reordering opportunities):
 //!
-//! 1. **Per-connection FIFO**: a run replays its batch in arrival
-//!    order, so one client's dependent request stream (each transaction
-//!    reads the value the previous one wrote) always sees its own
-//!    prefix.
+//! 1. **Per-connection FIFO**: one client's dependent request stream
+//!    (each transaction reads the value the previous one wrote) always
+//!    sees its own prefix.
 //! 2. **No transaction-addressed reorder**: under callback protocols
 //!    (PS-AA, PS-OO) the server interleaves callbacks to a client with
 //!    grants for that client's own requests; any swap corrupts the
 //!    client cache-consistency state. With `paranoid` set, the engine's
-//!    invariants are checked after **every** dispatched batch, so a
-//!    reorder fails loudly rather than as a downstream wrong value.
+//!    invariants are checked after **every** request, so a reorder fails
+//!    loudly rather than as a downstream wrong value.
 //!
-//! Multi-message batches form only on the channel transport: a client's
-//! outbox collects the callback replies other threads queue while its
-//! own thread is serving it (asserted via `StoreStats`). Over TCP the
-//! server's connection reader runs each request as it reads its frame,
-//! so every batch there holds one message and only the ordering checks
-//! apply. The workload hammers a small hot set so callbacks are
-//! constant traffic.
+//! The workload hammers a small hot set so callbacks are constant
+//! traffic.
 
 use fgs_core::{Oid, PageId, Protocol};
 use fgs_oodb::{EngineConfig, Oodb, TransportKind, TxnError};
@@ -54,7 +48,7 @@ fn config(protocol: Protocol, transport: TransportKind) -> EngineConfig {
         n_clients: CLIENTS,
         client_cache_pages: 4,
         server_pool_pages: 8,
-        paranoid: true, // invariant-check every dispatched batch
+        paranoid: true, // invariant-check every request
         transport,
         ..EngineConfig::default()
     }
@@ -100,8 +94,8 @@ fn run_ordering_stress(protocol: Protocol, transport: TransportKind) {
                     let shared = hot[(rand() % 8) as usize];
                     let res: Result<(), TxnError> = s.run_txn(200, |txn| {
                         // FIFO sentinel: nobody else writes `own`, so a
-                        // batched replay that reordered this connection's
-                        // requests surfaces as a wrong read right here.
+                        // run that reordered this connection's requests
+                        // surfaces as a wrong read right here.
                         let v = decode(&txn.read(own)?);
                         assert_eq!(
                             v, i,
@@ -137,22 +131,6 @@ fn run_ordering_stress(protocol: Protocol, transport: TransportKind) {
         "{protocol}/{transport:?} FGS_SEED={seed}: shared increments lost or duplicated"
     );
     db.check_server_invariants();
-    let stats = db.store_stats();
-    assert!(
-        stats.dispatch_batches > 0,
-        "{protocol}/{transport:?}: no batches dispatched"
-    );
-    // On the channel transport, multi-message batches actually formed,
-    // so the single-lock replay path — not just the trivial batch-of-one
-    // path — was covered. A TCP connection reader runs one request per
-    // frame (see the module docs).
-    assert!(
-        transport == TransportKind::Tcp || stats.dispatch_batch_msgs > stats.dispatch_batches,
-        "{protocol}/{transport:?} FGS_SEED={seed}: every batch had a single message; \
-         the batched path was never exercised ({} msgs / {} batches)",
-        stats.dispatch_batch_msgs,
-        stats.dispatch_batches,
-    );
 }
 
 #[test]

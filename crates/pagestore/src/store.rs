@@ -50,25 +50,26 @@ pub struct StoreStats {
     pub lock_wait_ns: u64,
     /// Nanoseconds the protocol-stage lock was *held*.
     pub lock_hold_ns: u64,
-    /// Hot-path protocol-stage lock acquisitions (one per inbound batch).
+    /// Hot-path protocol-stage lock acquisitions (one per request).
     pub lock_acquisitions: u64,
-    /// Median server-side commit latency, microseconds (batch arrival →
+    /// Median server-side commit latency, microseconds (request arrival →
     /// `CommitDone` released for delivery).
     pub commit_p50_us: u64,
     /// 99th-percentile server-side commit latency, microseconds.
     pub commit_p99_us: u64,
     /// Commits sampled into the latency histogram.
     pub commit_latency_samples: u64,
-    /// Inbound batches run through the server (one protocol-lock
-    /// acquisition and one sequence number each).
+    /// Requests run through the server. A run carries one request, so
+    /// the `fgs-oodb` runtime fills this and `dispatch_batch_msgs` from
+    /// one request counter; both fields stay for readers of the ratio.
     pub dispatch_batches: u64,
-    /// Messages across all inbound batches (`/ dispatch_batches` = mean
-    /// amortization of the critical section).
+    /// Requests run through the server; always equal to
+    /// `dispatch_batches` (see there).
     pub dispatch_batch_msgs: u64,
-    /// Per-client delivery batches issued by the completion router (one
-    /// coalesced transport write each on TCP).
+    /// Per-client prefixes released by the completion router; each
+    /// envelope of a prefix is delivered by itself.
     pub send_batches: u64,
-    /// Envelopes across all send batches.
+    /// Envelopes across all released prefixes.
     pub send_batch_msgs: u64,
     /// Active-buffer seals performed by the staged force cycle (zero for
     /// stores driven through the synchronous force paths).
