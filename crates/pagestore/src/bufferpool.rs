@@ -11,6 +11,7 @@ use crate::wal::{Lsn, Wal};
 use fgs_core::PageId;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 
 struct Frame {
@@ -136,6 +137,30 @@ impl BufferPool {
                     frame.dirty = false;
                 }
             }
+        }
+        self.disk.sync()
+    }
+
+    /// Formats one empty page with `format` and writes that image to the
+    /// disk home of every page in `pages`, then syncs once (the initial
+    /// load). The frames are bypassed, so the pool must hold none: a
+    /// resident frame would shadow the image just written. Each page is
+    /// read from disk on its first use.
+    pub fn load_pages(
+        &self,
+        pages: Range<u32>,
+        format: impl FnOnce(&mut SlottedPage),
+    ) -> io::Result<()> {
+        if !self.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "page load into a pool with resident frames",
+            ));
+        }
+        let mut image = SlottedPage::new(self.disk.page_size());
+        format(&mut image);
+        for page in pages {
+            self.disk.write_page(PageId(page), image.as_bytes())?;
         }
         self.disk.sync()
     }
@@ -291,7 +316,7 @@ mod tests {
     #[test]
     fn eviction_of_unlogged_page_is_not_a_physical_force() {
         let (pool, disk, wal) = pool(1);
-        // init-style writes carry lsn 0 on an empty log; stealing them
+        // Unlogged writes carry lsn 0; on an empty log, stealing them
         // must not count a log force (there is nothing to flush).
         pool.with_page_mut(PageId(1), 0, |p| p.insert(b"init").unwrap())
             .unwrap();

@@ -165,22 +165,27 @@ impl Store {
 
     /// Populates the database with `objects_per_page` objects of
     /// `object_size` bytes on each of `db_pages` pages, all zero-filled,
-    /// without logging (initial load). Flushes to disk.
+    /// without logging (initial load). One formatted page image goes to
+    /// every page's disk home, synced once; the pool stays empty. Refuses
+    /// a store that is not fresh (a resident frame or a non-empty log).
     pub fn init_objects(
         &self,
         db_pages: u32,
         objects_per_page: u16,
         object_size: usize,
     ) -> io::Result<()> {
-        let zeroes = vec![0u8; object_size];
-        for page in 0..db_pages {
-            self.pool.with_page_mut(PageId(page), 0, |p| {
-                for _ in 0..objects_per_page {
-                    p.insert(&zeroes).expect("initial objects fit");
-                }
-            })?;
+        if !self.wal.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "initial load into a store with a non-empty log",
+            ));
         }
-        self.pool.flush_all()
+        let zeroes = vec![0u8; object_size];
+        self.pool.load_pages(0..db_pages, |p| {
+            for _ in 0..objects_per_page {
+                p.insert(&zeroes).expect("initial objects fit");
+            }
+        })
     }
 
     /// Reads an object, following at most one forward hop (forwarded
@@ -578,5 +583,92 @@ mod tests {
         drop(s);
         let (s2, _) = Store::recover(disk, log, 16, 1000).unwrap();
         assert_eq!(s2.read_object(oid(3, 2)).unwrap().unwrap(), big);
+    }
+
+    /// The reference image of a load: inserts through the frames, then a
+    /// flush of every dirty one.
+    fn pool_path_image(
+        page_size: usize,
+        pool_pages: usize,
+        db_pages: u32,
+        objects_per_page: u16,
+        object_size: usize,
+    ) -> Arc<MemDisk> {
+        let disk = Arc::new(MemDisk::new(page_size));
+        let s = Store::new(disk.clone(), pool_pages, db_pages);
+        let zeroes = vec![0u8; object_size];
+        for page in 0..db_pages {
+            s.pool()
+                .with_page_mut(PageId(page), 0, |p| {
+                    for _ in 0..objects_per_page {
+                        p.insert(&zeroes).unwrap();
+                    }
+                })
+                .unwrap();
+        }
+        s.pool().flush_all().unwrap();
+        disk
+    }
+
+    #[test]
+    fn initial_load_writes_the_pool_path_image_and_leaves_the_pool_empty() {
+        // (page size, pool frames, pages, objects a page, object size):
+        // the benchmark's database, this module's store, the recovery
+        // properties' evicting store and the crate example's.
+        for (page_size, pool_pages, db_pages, per_page, size) in [
+            (4096, 625, 1250, 20, 128),
+            (256, 16, 4, 4, 16),
+            (256, 2, 4, 4, 16),
+            (4096, 64, 16, 20, 128),
+        ] {
+            let expected = pool_path_image(page_size, pool_pages, db_pages, per_page, size);
+            let disk = Arc::new(MemDisk::new(page_size));
+            let s = Store::new(disk.clone(), pool_pages, db_pages);
+            s.init_objects(db_pages, per_page, size).unwrap();
+            assert_eq!(s.pool().len(), 0, "the load bypasses the frames");
+            assert_eq!(disk.pages_written(), expected.pages_written());
+            for page in 0..db_pages {
+                assert_eq!(
+                    disk.read_page(PageId(page)).unwrap(),
+                    expected.read_page(PageId(page)).unwrap(),
+                    "page {page} of {db_pages}x{per_page}x{size}"
+                );
+            }
+            assert!(s.wal().is_empty(), "the load is unlogged");
+        }
+    }
+
+    #[test]
+    fn initial_load_onto_a_file_disk_recovers_as_zeros() {
+        use crate::disk::FileDisk;
+        let dir = std::env::temp_dir().join(format!("fgs-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.pages");
+        {
+            let disk = Arc::new(FileDisk::open(&path, 4096).unwrap());
+            Store::new(disk, 8, 64).init_objects(64, 20, 128).unwrap();
+        }
+        let disk = Arc::new(FileDisk::open(&path, 4096).unwrap());
+        let (s, report) = Store::recover(disk, Vec::new(), 8, 64).unwrap();
+        assert!(report.winners.is_empty() && report.losers.is_empty());
+        for p in 0..64 {
+            for sl in 0..20 {
+                assert_eq!(s.read_object(oid(p, sl)).unwrap().unwrap(), vec![0u8; 128]);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn initial_load_refuses_a_store_that_is_not_fresh() {
+        let (s, _) = store();
+        s.read_object(oid(0, 0)).unwrap();
+        let e = s.init_objects(4, 4, 16).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "resident frame");
+
+        let s = Store::new(Arc::new(MemDisk::new(256)), 16, 1000);
+        s.begin(txn(1));
+        let e = s.init_objects(4, 4, 16).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "non-empty log");
     }
 }

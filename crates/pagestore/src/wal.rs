@@ -29,10 +29,11 @@
 //! ```
 //!
 //! * [`Wal::seal`] swaps the active buffer out as the sealed shadow
-//!   segment (at most one outstanding) and leaves appenders a fresh
-//!   active buffer, so they never wait for the device.
+//!   segment (at most one outstanding) and leaves appenders the spare
+//!   buffer as their active one, so they never wait for the device.
 //! * [`Wal::write_sealed`] moves the sealed segment onto the written
-//!   log image (the device write).
+//!   log image (the device write) and keeps the drained buffer, with
+//!   its capacity, as the spare: the two buffers alternate.
 //! * [`Wal::force_written`] advances the durable watermark over
 //!   everything written (the force/fsync). A record at LSN `l` is
 //!   durable exactly when `flushed() > l`.
@@ -362,6 +363,9 @@ struct WalInner {
     sealed: Option<Vec<u8>>,
     /// The active append buffer.
     active: Vec<u8>,
+    /// The drained shadow buffer (empty, capacity kept): the next seal
+    /// hands it to appenders as the active buffer.
+    spare: Vec<u8>,
     /// Physical forces (durable-watermark advances; no-ops not counted).
     forces: u64,
     /// Active-buffer seals performed (stepwise API only).
@@ -382,6 +386,7 @@ impl Default for WalInner {
             durable: 0,
             sealed: None,
             active: Vec::new(),
+            spare: Vec::new(),
             forces: 0,
             seals: 0,
             writes: 0,
@@ -405,7 +410,8 @@ impl WalInner {
         if self.sealed.is_some() || self.active.is_empty() {
             return false;
         }
-        self.sealed = Some(std::mem::take(&mut self.active));
+        let next = std::mem::take(&mut self.spare);
+        self.sealed = Some(std::mem::replace(&mut self.active, next));
         self.seals += 1;
         true
     }
@@ -415,6 +421,7 @@ impl WalInner {
         match self.sealed.take() {
             Some(mut s) => {
                 self.written.append(&mut s);
+                self.spare = s;
                 self.writes += 1;
                 true
             }
@@ -427,6 +434,7 @@ impl WalInner {
     fn drain_all(&mut self) {
         if let Some(mut s) = self.sealed.take() {
             self.written.append(&mut s);
+            self.spare = s;
         }
         self.written.append(&mut self.active);
     }
@@ -500,9 +508,9 @@ impl Wal {
 
     // -- stepwise API (one force cycle at a time) -----------------------
 
-    /// Seals the active buffer as the shadow segment, handing appenders a
-    /// fresh one. Returns `false` when there is nothing to seal, a sealed
-    /// segment is still outstanding, or a [`WalHold`] is engaged.
+    /// Seals the active buffer as the shadow segment, handing appenders
+    /// the spare one. Returns `false` when there is nothing to seal, a
+    /// sealed segment is still outstanding, or a [`WalHold`] is engaged.
     pub fn seal(&self) -> bool {
         let mut g = self.inner.lock();
         if g.hold != WalHold::None {
@@ -815,6 +823,26 @@ mod tests {
         wal.force_written();
         let lsns: Vec<Lsn> = wal.replay().into_iter().map(|(l, _)| l).collect();
         assert_eq!(lsns, vec![a, b, c]);
+    }
+
+    #[test]
+    fn force_cycles_alternate_the_two_buffers() {
+        let wal = Wal::new();
+        for i in 0..16 {
+            wal.append(&update(i));
+        }
+        assert!(wal.seal());
+        let cap = wal.inner.lock().sealed.as_ref().unwrap().capacity();
+        assert!(wal.write_sealed());
+        wal.force_written();
+        // The drained shadow buffer comes back as the next active one,
+        // capacity kept, instead of regrowing from empty.
+        wal.append(&update(1));
+        assert!(wal.seal());
+        assert_eq!(wal.inner.lock().active.capacity(), cap);
+        assert!(wal.write_sealed());
+        wal.force_written();
+        assert_eq!(wal.replay().len(), 17);
     }
 
     #[test]
