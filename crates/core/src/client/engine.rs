@@ -427,6 +427,7 @@ impl ClientEngine {
     }
 
     /// Handles a message from the server.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn handle_server(&mut self, msg: ServerMsg) -> ClientOutcome {
         match msg {
             ServerMsg::ReadGranted { txn, oid, data } => self.on_read_granted(txn, oid, data),
@@ -517,6 +518,7 @@ impl ClientEngine {
 
     /// Installs shipped data into the cache, merging with local uncommitted
     /// updates when a divergent copy is already resident.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn install(&mut self, data: DataGrant) {
         match data {
             DataGrant::Page {

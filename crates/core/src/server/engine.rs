@@ -140,6 +140,7 @@ impl ServerEngine {
     }
 
     /// Handles one client request, returning the effects to carry out.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn handle(&mut self, from: ClientId, req: Request) -> Outcome {
         debug_assert!(self.out.is_empty() && self.cost == Cost::default());
         match req {
@@ -648,6 +649,7 @@ impl ServerEngine {
     // Callback replies
     // ------------------------------------------------------------------
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn handle_cb_reply(
         &mut self,
         from: ClientId,
@@ -721,7 +723,7 @@ impl ServerEngine {
             }
             // Every final reply kind resolves the outstanding callback the
             // same way; spelled out so a new reply variant cannot silently
-            // inherit this path (fgs-lint handler_exhaustiveness).
+            // inherit this path (the handler denies `_` arms).
             CallbackReply::PagePurged { .. }
             | CallbackReply::ObjectUnavailable { .. }
             | CallbackReply::ObjectPurged { .. }

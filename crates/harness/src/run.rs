@@ -30,6 +30,7 @@ use fgs_oodb::{
     TransportKind, TxnError,
 };
 use fgs_pagestore::{FaultPlan, FaultyDisk, MemDisk, Store, WalHold};
+use fgs_simkernel::splitmix64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -64,14 +65,6 @@ pub struct RunSummary {
     pub recovered_winners: usize,
     /// Transactions the recovery pass rolled back.
     pub recovered_losers: usize,
-}
-
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Everything phase 1 needs, derived from the seed.
@@ -114,14 +107,19 @@ fn derive_plan(seed: u64, mode: Mode, txns_per_client: usize) -> Plan {
         let mut x = seed ^ 0xC4A5;
         splitmix64(&mut x)
     };
+    let delay_per_10k = r(1200) as u32;
+    let max_delay_us = 1 + r(300);
+    // A drop, a reorder and a reset all sever before delivery, and a
+    // duplicate delivers, then severs (DESIGN.md §13). Their four rates
+    // are still drawn in the plan's old order, so each seed keeps its
+    // expected fault rate and every later draw.
+    let (drop, dup, reorder, reset) = (r(70), r(70), r(70), r(70));
     let chaos = ChaosConfig {
         seed: chaos_seed,
-        delay_per_10k: r(1200) as u32,
-        max_delay_us: 1 + r(300),
-        drop_per_10k: r(70) as u32,
-        dup_per_10k: r(70) as u32,
-        reorder_per_10k: r(70) as u32,
-        reset_per_10k: r(70) as u32,
+        delay_per_10k,
+        max_delay_us,
+        sever_per_10k: (drop + reorder + reset) as u32,
+        deliver_then_sever_per_10k: dup as u32,
         max_events: 1 + r(8) as u32,
     };
     let faults = FaultPlan {
@@ -416,7 +414,7 @@ fn channel_worker(
 // The wall-clock read below is a 60s hang backstop only: it bounds how
 // long a wedged run can stall CI and never feeds the seeded schedule, so
 // results stay bit-identical for a given seed.
-// fgs-lint: allow(determinism)
+#[allow(clippy::disallowed_methods)]
 fn await_crash_point(
     done: &AtomicUsize,
     finished_workers: &AtomicUsize,

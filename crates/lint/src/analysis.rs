@@ -220,7 +220,6 @@ struct Guard {
 pub(crate) struct FileUnit {
     pub(crate) file: String,
     pub(crate) toks: Vec<Tok>,
-    pub(crate) directives: Vec<crate::lexer::Directive>,
     pub(crate) facts: FileFacts,
 }
 
@@ -252,7 +251,7 @@ pub struct Workspace {
     /// Function name → flat fn ids.
     by_name: HashMap<String, Vec<usize>>,
     /// (owner, name) → flat fn ids.
-    pub(crate) by_owner: HashMap<(String, String), Vec<usize>>,
+    by_owner: HashMap<(String, String), Vec<usize>>,
     /// struct name → field → type hint (merged across files).
     fields: HashMap<String, HashMap<String, String>>,
     /// field name → distinct type hints anywhere in the workspace.
@@ -264,12 +263,11 @@ impl Workspace {
     pub fn build(sources: &[(String, String)]) -> Workspace {
         let mut units = Vec::new();
         for (file, src) in sources {
-            let (toks, directives) = crate::lexer::lex(src);
+            let toks = crate::lexer::lex(src);
             let facts = parse(file, &toks);
             units.push(FileUnit {
                 file: file.clone(),
                 toks,
-                directives,
                 facts,
             });
         }
@@ -316,14 +314,13 @@ impl Workspace {
         &self.units[ui].facts.fns[fi]
     }
 
-    pub(crate) fn toks(&self, id: usize) -> &[Tok] {
+    fn toks(&self, id: usize) -> &[Tok] {
         let (ui, _) = self.fns[id];
         &self.units[ui].toks
     }
 
     /// Run the analysis: fixpoint effects, then rule replay plus the
-    /// protocol-conformance passes, then directive suppression (which
-    /// also reports stale allows). Returns violations sorted by
+    /// protocol-conformance passes. Returns violations sorted by
     /// file/line.
     pub fn check(&self) -> Vec<Violation> {
         let mut effects: Vec<Effects> = vec![Effects::default(); self.fns.len()];
@@ -347,95 +344,9 @@ impl Workspace {
         }
         let sends: Vec<HashMap<String, String>> = effects.into_iter().map(|e| e.sends).collect();
         out.extend(self.check_protocol(&sends));
-        self.suppress(&mut out);
         out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
         out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
         out
-    }
-
-    /// Drop violations covered by `fgs-lint: allow(...)` directives or an
-    /// `#[allow_lock_order]` attribute on the function — and report any
-    /// directive/attribute that suppressed nothing as `unused_allow`
-    /// (stale escape hatches rot into blanket immunity otherwise).
-    fn suppress(&self, violations: &mut Vec<Violation>) {
-        let mut attr_lines: HashMap<&str, Vec<u32>> = HashMap::new();
-        for unit in &self.units {
-            let mut lines = Vec::new();
-            for (i, t) in unit.toks.iter().enumerate() {
-                if t.is_ident("allow_lock_order")
-                    && i >= 2
-                    && unit.toks[i - 1].is_punct('[')
-                    && unit.toks[i - 2].is_punct('#')
-                {
-                    lines.push(t.line);
-                }
-            }
-            attr_lines.insert(unit.file.as_str(), lines);
-        }
-        // (unit index, directive index) / (unit index, attr line) that
-        // suppressed at least one violation.
-        let mut used_dirs: HashSet<(usize, usize)> = HashSet::new();
-        let mut used_attrs: HashSet<(usize, u32)> = HashSet::new();
-        violations.retain(|v| {
-            let Some(ui) = self.units.iter().position(|u| u.file == v.file) else {
-                return true;
-            };
-            let unit = &self.units[ui];
-            // The function containing the violation, for fn-wide scope.
-            let sig = unit
-                .facts
-                .fns
-                .iter()
-                .filter(|f| f.sig_line <= v.line)
-                .map(|f| f.sig_line)
-                .max();
-            let fn_wide = |line: u32| sig.is_some_and(|s| line <= s && line + 3 >= s);
-            for (di, d) in unit.directives.iter().enumerate() {
-                let applies = d.line == v.line || d.line + 1 == v.line || fn_wide(d.line);
-                let names = d.rules.iter().any(|r| r == "all" || r == v.rule.name());
-                if applies && names {
-                    used_dirs.insert((ui, di));
-                    return false;
-                }
-            }
-            if v.rule == Rule::LockOrder {
-                for &line in &attr_lines[unit.file.as_str()] {
-                    if fn_wide(line) || line == v.line || line + 1 == v.line {
-                        used_attrs.insert((ui, line));
-                        return false;
-                    }
-                }
-            }
-            true
-        });
-        for (ui, unit) in self.units.iter().enumerate() {
-            for (di, d) in unit.directives.iter().enumerate() {
-                if !used_dirs.contains(&(ui, di)) {
-                    violations.push(Violation {
-                        rule: Rule::UnusedAllow,
-                        file: unit.file.clone(),
-                        line: d.line,
-                        message: format!(
-                            "`fgs-lint: allow({})` suppresses nothing; delete the stale \
-                             directive (unused_allow cannot itself be allowed)",
-                            d.rules.join(", ")
-                        ),
-                    });
-                }
-            }
-            for &line in &attr_lines[unit.file.as_str()] {
-                if !used_attrs.contains(&(ui, line)) {
-                    violations.push(Violation {
-                        rule: Rule::UnusedAllow,
-                        file: unit.file.clone(),
-                        line,
-                        message: "`#[allow_lock_order]` suppresses nothing; delete the \
-                                  stale attribute"
-                            .to_string(),
-                    });
-                }
-            }
-        }
     }
 
     // -- the body walker ----------------------------------------------
@@ -1223,23 +1134,6 @@ mod tests {
                     {{ let w = self.wal.lock(); }}
                     let g = self.client.lock();
                     drop(g);
-                }}
-            }}"
-        );
-        assert!(check(&src).is_empty(), "{:?}", check(&src));
-    }
-
-    #[test]
-    fn directive_suppresses_the_violation() {
-        let src = format!(
-            "{PRELUDE}
-            impl Srv {{
-                fn bad(&self) {{
-                    let w = self.wal.lock();
-                    // fgs-lint: allow(lock_order)
-                    let g = self.client.lock();
-                    drop(g);
-                    drop(w);
                 }}
             }}"
         );

@@ -1,9 +1,8 @@
 //! A small Rust lexer: just enough fidelity for lock-discipline analysis.
 //!
 //! Produces identifiers, single-character punctuation, opaque literals and
-//! lifetimes, each tagged with a 1-based line number. Comments are skipped
-//! except that `fgs-lint:` directives inside them are collected for the
-//! suppression machinery (the `#[allow_lock_order]`-style escape hatch).
+//! lifetimes, each tagged with a 1-based line number. Comments are
+//! skipped.
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,20 +40,10 @@ impl Tok {
     }
 }
 
-/// A suppression directive: `// fgs-lint: allow(rule, ...)`.
-#[derive(Debug, Clone)]
-pub struct Directive {
-    /// Line the directive comment starts on.
-    pub line: u32,
-    /// Rule names being allowed (`all` allows everything).
-    pub rules: Vec<String>,
-}
-
-/// Lex `src`, returning tokens and any `fgs-lint:` directives.
-pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
+/// Lex `src` into tokens.
+pub fn lex(src: &str) -> Vec<Tok> {
     let b: Vec<char> = src.chars().collect();
     let mut toks = Vec::new();
-    let mut directives = Vec::new();
     let mut i = 0;
     let mut line: u32 = 1;
     let push = |toks: &mut Vec<Tok>, kind, text: String, line| {
@@ -69,16 +58,11 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
             }
             c if c.is_whitespace() => i += 1,
             '/' if i + 1 < b.len() && b[i + 1] == '/' => {
-                let start = i;
                 while i < b.len() && b[i] != '\n' {
                     i += 1;
                 }
-                let comment: String = b[start..i].iter().collect();
-                collect_directive(&comment, line, &mut directives);
             }
             '/' if i + 1 < b.len() && b[i + 1] == '*' => {
-                let start_line = line;
-                let start = i;
                 let mut depth = 1;
                 i += 2;
                 while i < b.len() && depth > 0 {
@@ -95,8 +79,6 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
                         i += 1;
                     }
                 }
-                let comment: String = b[start..i.min(b.len())].iter().collect();
-                collect_directive(&comment, start_line, &mut directives);
             }
             '"' => {
                 i = lex_string(&b, i, &mut line);
@@ -169,7 +151,7 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
             }
         }
     }
-    (toks, directives)
+    toks
 }
 
 fn starts_raw_or_byte_string(b: &[char], i: usize) -> bool {
@@ -242,38 +224,13 @@ fn lex_raw_or_byte(b: &[char], mut i: usize, line: &mut u32) -> usize {
     }
 }
 
-fn collect_directive(comment: &str, line: u32, out: &mut Vec<Directive>) {
-    let Some(pos) = comment.find("fgs-lint:") else {
-        return;
-    };
-    let rest = &comment[pos + "fgs-lint:".len()..];
-    let rest = rest.trim_start();
-    let Some(inner) = rest
-        .strip_prefix("allow(")
-        .and_then(|r| r.split(')').next())
-    else {
-        return;
-    };
-    // Only identifier-shaped names count: prose mentions of the syntax in
-    // ordinary comments (e.g. "`fgs-lint: allow(...)` directives") must
-    // not register as (inevitably unused) directives.
-    let rules: Vec<String> = inner
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty() && r.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'))
-        .collect();
-    if !rules.is_empty() {
-        out.push(Directive { line, rules });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn lexes_code_with_strings_chars_and_lifetimes() {
-        let (toks, _) =
+        let toks =
             lex(r##"fn f<'a>(x: &'a str) { let c = 'x'; let s = "a\"b"; let r = r#"raw"#; }"##);
         let idents: Vec<&str> = toks
             .iter()
@@ -289,17 +246,8 @@ mod tests {
     }
 
     #[test]
-    fn collects_allow_directives() {
-        let (_, dirs) = lex("// fgs-lint: allow(lock_order)\nfn f() {}\n/* fgs-lint: allow(all, io_under_protocol) */\n");
-        assert_eq!(dirs.len(), 2);
-        assert_eq!(dirs[0].line, 1);
-        assert_eq!(dirs[0].rules, vec!["lock_order"]);
-        assert_eq!(dirs[1].rules, vec!["all", "io_under_protocol"]);
-    }
-
-    #[test]
     fn tracks_lines() {
-        let (toks, _) = lex("a\nb\n\nc");
+        let toks = lex("a\nb\n\nc");
         assert_eq!(
             toks.iter().map(|t| t.line).collect::<Vec<_>>(),
             vec![1, 2, 4]
@@ -308,7 +256,7 @@ mod tests {
 
     #[test]
     fn numeric_range_is_not_a_float() {
-        let (toks, _) = lex("0..5");
+        let toks = lex("0..5");
         assert_eq!(toks.len(), 4, "0 . . 5");
     }
 }

@@ -4,12 +4,15 @@
 //! Enforces the declared lock-order DAG
 //! (`ClientState -> ProtocolStage -> PoolShard -> WalInner -> Disk -> CompletionState -> PortTable -> ConnWriter`), two
 //! guard-hygiene rules (`io_under_protocol`, `reentrant_closure`), and the
-//! FGSP protocol-conformance passes (`handler_exhaustiveness`,
-//! `illegal_transition`, `panic_under_protocol`, `determinism`,
-//! `unused_allow`) with a hand-rolled lexer + shallow parser, so the
-//! workspace needs no external proc-macro dependencies. See `analysis`
-//! for the model and its deliberate under-approximations, and
-//! `protocol_model` for the declarative FGSP state-machine tables.
+//! FGSP protocol-conformance passes (`illegal_transition`,
+//! `panic_under_protocol`) with a hand-rolled lexer + shallow parser, so
+//! the workspace needs no external proc-macro dependencies. What the
+//! compiler can check is left to it: handler exhaustiveness is
+//! `clippy::wildcard_enum_match_arm` plus rustc's own match check, and
+//! determinism is the `clippy.toml` wall-clock ban in the simulator and
+//! harness crates. See `analysis` for the model and its deliberate
+//! under-approximations, and `protocol_model` for the declarative FGSP
+//! state-machine tables.
 
 pub mod analysis;
 pub mod lexer;

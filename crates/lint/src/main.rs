@@ -59,7 +59,7 @@ fn main() -> ExitCode {
     if violations.is_empty() {
         eprintln!(
             "fgs-lint: {} file(s) clean (lock order {}; \
-             protocol passes: handler_exhaustiveness, illegal_transition, panic_under_protocol, determinism, unused_allow)",
+             protocol passes: illegal_transition, panic_under_protocol)",
             files.len(),
             fgs_lint::model::LockClass::order()
         );

@@ -119,8 +119,7 @@ impl fmt::Display for LockClass {
     }
 }
 
-/// Which discipline rule a violation falls under. The names double as the
-/// directive vocabulary: `// fgs-lint: allow(lock_order)`.
+/// Which discipline rule a violation falls under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
     /// Acquired a lock out of DAG order (or re-entered the same class).
@@ -130,9 +129,6 @@ pub enum Rule {
     IoUnderProtocol,
     /// A guard held across a closure body that can re-enter the engine.
     ReentrantClosure,
-    /// A designated protocol handler fails to match every variant of its
-    /// message enum, or hides new variants behind a `_` wildcard arm.
-    HandlerExhaustiveness,
     /// A protocol message constructed outside its modeled origin function,
     /// sent in the wrong role direction, or sent to a transaction after a
     /// terminal message (abort/commit ack) was already issued to it.
@@ -141,27 +137,17 @@ pub enum Rule {
     /// `ProtocolStage` guard is live: a poisoned engine lock takes the
     /// whole server down.
     PanicUnderProtocol,
-    /// Wall-clock or OS randomness (`Instant::now`, `SystemTime`,
-    /// `thread_rng`) in the deterministic simulator/harness run paths.
-    Determinism,
-    /// A `fgs-lint: allow(...)` directive or `#[allow_lock_order]`
-    /// attribute that no longer suppresses anything. Not itself
-    /// suppressible: delete the stale annotation instead.
-    UnusedAllow,
 }
 
 impl Rule {
-    /// The directive name that suppresses this rule.
+    /// The rule's name in reports.
     pub fn name(self) -> &'static str {
         match self {
             Rule::LockOrder => "lock_order",
             Rule::IoUnderProtocol => "io_under_protocol",
             Rule::ReentrantClosure => "reentrant_closure",
-            Rule::HandlerExhaustiveness => "handler_exhaustiveness",
             Rule::IllegalTransition => "illegal_transition",
             Rule::PanicUnderProtocol => "panic_under_protocol",
-            Rule::Determinism => "determinism",
-            Rule::UnusedAllow => "unused_allow",
         }
     }
 }

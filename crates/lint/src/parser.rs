@@ -382,8 +382,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse_src(src: &str) -> FileFacts {
-        let (toks, _) = lex(src);
-        parse("t.rs", &toks)
+        parse("t.rs", &lex(src))
     }
 
     #[test]
@@ -430,23 +429,20 @@ mod tests {
         assert_eq!(f.fns[0].ret.as_deref(), Some("R"));
     }
 
-    /// A raw string containing `fn`, braces and a phoney directive is
-    /// opaque text: nothing inside it may become a definition (or a
-    /// suppression).
+    /// A raw string containing `fn`, braces and a line comment is opaque
+    /// text: nothing inside it may become a definition.
     #[test]
     fn raw_strings_are_opaque_to_the_parser() {
         let src = r##"
             fn real(&self) -> u32 {
-                let s = r#"fn fake() { } } { // fgs-lint: allow(lock_order)"#;
+                let s = r#"fn fake() { } } { // not a comment"#;
                 s.len() as u32
             }
             fn after() {}
         "##;
-        let (toks, dirs) = lex(src);
-        let f = parse("t.rs", &toks);
+        let f = parse("t.rs", &lex(src));
         let names: Vec<&str> = f.fns.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, ["real", "after"], "{names:?}");
-        assert!(dirs.is_empty(), "directive leaked out of a raw string");
     }
 
     /// Nested generics in turbofish position: the `<` runs must not eat

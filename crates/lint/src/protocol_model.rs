@@ -1,14 +1,12 @@
 //! The declarative model of the FGSP state machines.
 //!
-//! This module is pure data: the message vocabulary of
-//! `crates/core/src/msg.rs`, which functions are the designated handlers
-//! for each enum, which functions may *originate* each wire message, which
-//! messages terminate a transaction, and which crates must stay free of
-//! wall-clock/randomness. The `protocol` module checks the code against
-//! these tables; keeping the tables separate from the traversal means a
-//! protocol change (a new `ServerMsg` variant, a new origin site) is a
-//! one-line diff here — and until that diff lands, every pass that keys on
-//! the enum fails loudly.
+//! This module is pure data: the wire vocabulary of
+//! `crates/core/src/msg.rs`, which functions may *originate* each wire
+//! message, and which messages terminate a transaction. The `protocol`
+//! module checks the code against these tables; keeping the tables
+//! separate from the traversal means a protocol change (a new `ServerMsg`
+//! variant, a new origin site) is a one-line diff here — and until that
+//! diff lands, the origin-table test fails loudly.
 //!
 //! The tables mirror the paper's callback-locking conversations
 //! (Carey/Franklin/Zaharioudakis, SIGMOD'94 §3): a client request enters
@@ -17,9 +15,8 @@
 //! sent `Aborted`/`CommitDone`/`AbortDone` is *finished* — nothing else may
 //! be addressed to it.
 
-/// One protocol enum and its complete variant list, kept in sync with
-/// `crates/core/src/msg.rs` (the handler-exhaustiveness self-test seeds a
-/// dropped arm into the real file to prove the sync is load-bearing).
+/// One wire enum and its complete variant list, kept in sync with
+/// `crates/core/src/msg.rs`.
 pub struct EnumSpec {
     /// Enum name as it appears in paths (`ServerMsg::...`).
     pub name: &'static str,
@@ -27,7 +24,7 @@ pub struct EnumSpec {
     pub variants: &'static [&'static str],
 }
 
-/// The protocol vocabulary of `crates/core/src/msg.rs`.
+/// The wire vocabulary of `crates/core/src/msg.rs`.
 pub const PROTOCOL_ENUMS: &[EnumSpec] = &[
     EnumSpec {
         name: "Request",
@@ -51,83 +48,6 @@ pub const PROTOCOL_ENUMS: &[EnumSpec] = &[
             "CommitDone",
             "AbortDone",
         ],
-    },
-    EnumSpec {
-        name: "CallbackReply",
-        variants: &[
-            "PagePurged",
-            "ObjectUnavailable",
-            "ObjectPurged",
-            "NotCached",
-            "Busy",
-        ],
-    },
-    EnumSpec {
-        name: "DataGrant",
-        variants: &["Page", "Object", "None"],
-    },
-    EnumSpec {
-        name: "AbortReason",
-        variants: &["Deadlock", "Server"],
-    },
-];
-
-/// A designated handler: the one function (per owner) through which every
-/// variant of the listed enums must flow.
-///
-/// Handlers are keyed by `(owner, fn name)` rather than file path so the
-/// fixture suite can model them in self-contained files. A handler whose
-/// body never mentions a listed enum is skipped (it is not that enum's
-/// dispatch point in this workspace slice); one that mentions it must
-/// mention *every* variant and must not hide any behind a bare `_ =>` arm.
-pub struct HandlerSpec {
-    /// Self type of the impl the handler lives in.
-    pub owner: &'static str,
-    /// Handler function name.
-    pub func: &'static str,
-    /// Enums the handler must match exhaustively.
-    pub enums: &'static [&'static str],
-}
-
-/// The designated dispatch points.
-///
-/// `crates/oodb/src/remote.rs` is deliberately absent: the remote client
-/// transport relays `ToClient` envelopes verbatim into
-/// `ClientRuntime::handle_server` and never inspects `ServerMsg` itself,
-/// so the runtime handler below is the single client-side dispatch point
-/// for both transports.
-pub const HANDLERS: &[HandlerSpec] = &[
-    // Server dispatch: every client request enters here.
-    HandlerSpec {
-        owner: "ServerEngine",
-        func: "handle",
-        enums: &["Request"],
-    },
-    // Callback sub-protocol: every reply kind must be handled (copy-table
-    // effects differ per variant; a missed one silently leaks copies).
-    HandlerSpec {
-        owner: "ServerEngine",
-        func: "handle_cb_reply",
-        enums: &["CallbackReply"],
-    },
-    // Client engine dispatch: every server message acts on the txn state.
-    HandlerSpec {
-        owner: "ClientEngine",
-        func: "handle_server",
-        enums: &["ServerMsg"],
-    },
-    // Client engine data install: every grant payload shape.
-    HandlerSpec {
-        owner: "ClientEngine",
-        func: "install",
-        enums: &["DataGrant"],
-    },
-    // Client runtime: installs payloads and surfaces abort reasons before
-    // delegating to the engine — all three enums must stay exhaustive.
-    HandlerSpec {
-        owner: "ClientRuntime",
-        func: "handle_server",
-        enums: &["ServerMsg", "DataGrant", "AbortReason"],
     },
 ];
 
@@ -260,64 +180,11 @@ pub const SERVER_ROLE_OWNERS: &[&str] = &["ServerEngine", "ServerRuntime"];
 /// origin table names.
 pub const ROLE_EXEMPT_ORIGIN_OWNERS: &[&str] = &["CompletionRouter", "Simulator"];
 
-/// Crate sub-paths whose sources must stay deterministic: the simulation
-/// kernel, the simulator, and the chaos harness all promise
-/// seed-reproducibility (PR 3's parallel sweep and PR 7's oracle rely on
-/// it), so wall-clock reads and OS randomness are banned there.
-pub const DETERMINISM_SCOPE: &[&str] = &[
-    "crates/simkernel/src",
-    "crates/sim/src",
-    "crates/harness/src",
-];
-
-/// A banned nondeterminism source: a `Type::method` path or a bare
-/// identifier.
-pub struct BannedSource {
-    /// Path head (`Instant`), or the bare ident itself.
-    pub head: &'static str,
-    /// Path tail (`now`); empty for a bare-identifier ban.
-    pub tail: &'static str,
-    /// What to reach for instead.
-    pub instead: &'static str,
-}
-
-/// Nondeterminism sources banned inside [`DETERMINISM_SCOPE`].
-pub const BANNED_SOURCES: &[BannedSource] = &[
-    BannedSource {
-        head: "Instant",
-        tail: "now",
-        instead: "the simulated clock (fgs-simkernel `SimTime`)",
-    },
-    BannedSource {
-        head: "SystemTime",
-        tail: "",
-        instead: "the simulated clock (fgs-simkernel `SimTime`)",
-    },
-    BannedSource {
-        head: "thread_rng",
-        tail: "",
-        instead: "a seeded `SplitMix64`/`Lcg` stream",
-    },
-    BannedSource {
-        head: "from_entropy",
-        tail: "",
-        instead: "a seeded `SplitMix64`/`Lcg` stream",
-    },
-];
-
 /// Whether a file is codec-exempt from the origin/role checks: codecs
 /// legitimately construct every variant while decoding frames off the
 /// wire.
 pub fn codec_exempt(file: &str) -> bool {
     file.contains("codec")
-}
-
-/// Look up an enum's declared variants.
-pub fn enum_variants(name: &str) -> Option<&'static [&'static str]> {
-    PROTOCOL_ENUMS
-        .iter()
-        .find(|e| e.name == name)
-        .map(|e| e.variants)
 }
 
 /// Look up the origin list for `Enum::Variant`, if it is a modeled wire
@@ -334,26 +201,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handler_enums_are_declared() {
-        for h in HANDLERS {
-            for e in h.enums {
-                assert!(
-                    enum_variants(e).is_some(),
-                    "handler {}::{} names undeclared enum {e}",
-                    h.owner,
-                    h.func
-                );
-            }
-        }
-    }
-
-    #[test]
     fn origin_table_covers_every_wire_variant_exactly_once() {
         // Every Request and ServerMsg variant has exactly one origin entry.
         for spec in PROTOCOL_ENUMS {
-            if spec.name != "Request" && spec.name != "ServerMsg" {
-                continue;
-            }
             for v in spec.variants {
                 let path = format!("{}::{v}", spec.name);
                 let n = ORIGINS.iter().filter(|o| o.variant == path).count();
@@ -370,7 +220,11 @@ mod tests {
 
     #[test]
     fn terminal_and_txn_addressed_msgs_are_modeled_servermsgs() {
-        let server = enum_variants("ServerMsg").unwrap();
+        let server = PROTOCOL_ENUMS
+            .iter()
+            .find(|e| e.name == "ServerMsg")
+            .unwrap()
+            .variants;
         for m in TERMINAL_MSGS.iter().chain(TXN_ADDRESSED_MSGS) {
             let v = m.strip_prefix("ServerMsg::").expect("ServerMsg path");
             assert!(server.contains(&v), "{m} not a ServerMsg variant");

@@ -14,15 +14,14 @@
 //! FGSP runs over TCP, a reliable FIFO stream: a *frame* cannot be
 //! dropped, duplicated, or reordered while the connection lives. Those
 //! packet-level faults surface above the stream as exactly two
-//! observables — added latency, or connection death (TCP gives up). The
-//! schedule therefore keeps distinct `Drop`/`Duplicate`/`Reorder`/`Reset`
-//! events (they are logged and counted apart, and `Duplicate` delivers
-//! the frame before the failure, where `Drop` swallows it), but each
-//! resolves to severing the connection — which is the fault the protocol
-//! must actually survive: a callback or grant that never arrives, a
-//! client that vanishes mid-transaction. Recovery from a severed
-//! connection is the reconnect path ([`RemoteClient::connect_retry`]
-//! client-side, [`ServerEngine::client_gone`] server-side).
+//! observables — added latency, or connection death (TCP gives up). So
+//! the schedule has just those: a delay, and a sever, which either comes
+//! before the frame (it never arrives) or right after it (it arrives,
+//! then the connection dies). A sever is the fault the protocol must
+//! actually survive: a callback or grant that never arrives, a client
+//! that vanishes mid-transaction. Recovery from a severed connection is
+//! the reconnect path ([`RemoteClient::connect_retry`] client-side,
+//! [`ServerEngine::client_gone`] server-side).
 //!
 //! [`RemoteClient::connect_retry`]: crate::RemoteClient::connect_retry
 //! [`ServerEngine::client_gone`]: fgs_core::server::ServerEngine::client_gone
@@ -32,6 +31,7 @@ use crate::transport::{ClientPort, RequestSink};
 use crate::wire::ToClient;
 use fgs_core::sync::Mutex;
 use fgs_core::{ClientId, Oid, Request};
+use fgs_simkernel::Pcg32;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -48,17 +48,12 @@ pub struct ChaosConfig {
     pub delay_per_10k: u32,
     /// Upper bound on one injected delay, in microseconds.
     pub max_delay_us: u64,
-    /// Chance (per 10 000) of dropping a message (the frame vanishes and
-    /// the connection is severed — see the module docs).
-    pub drop_per_10k: u32,
-    /// Chance (per 10 000) of a duplicate storm (the frame is delivered,
-    /// then the connection is severed).
-    pub dup_per_10k: u32,
-    /// Chance (per 10 000) of a reorder storm (severs the connection
-    /// before delivery).
-    pub reorder_per_10k: u32,
-    /// Chance (per 10 000) of a plain connection reset.
-    pub reset_per_10k: u32,
+    /// Chance (per 10 000) of severing the connection before the message
+    /// is delivered (a drop, reorder or reset — see the module docs).
+    pub sever_per_10k: u32,
+    /// Chance (per 10 000) of delivering the message, then severing the
+    /// connection (a duplicate).
+    pub deliver_then_sever_per_10k: u32,
     /// Upper bound on injected events per endpoint.
     pub max_events: u32,
 }
@@ -70,44 +65,10 @@ impl ChaosConfig {
             seed: 0,
             delay_per_10k: 0,
             max_delay_us: 0,
-            drop_per_10k: 0,
-            dup_per_10k: 0,
-            reorder_per_10k: 0,
-            reset_per_10k: 0,
+            sever_per_10k: 0,
+            deliver_then_sever_per_10k: 0,
             max_events: 0,
         }
-    }
-}
-
-/// PCG-XSH-RR 32 (O'Neill): tiny, fast, and every `(seed, stream)` pair
-/// is an independent deterministic sequence — one stream per wrapped
-/// endpoint.
-#[derive(Debug, Clone)]
-pub(crate) struct Pcg32 {
-    state: u64,
-    inc: u64,
-}
-
-impl Pcg32 {
-    pub(crate) fn new(seed: u64, stream: u64) -> Pcg32 {
-        let mut rng = Pcg32 {
-            state: 0,
-            inc: (stream << 1) | 1,
-        };
-        rng.next_u32();
-        rng.state = rng.state.wrapping_add(seed);
-        rng.next_u32();
-        rng
-    }
-
-    pub(crate) fn next_u32(&mut self) -> u32 {
-        let old = self.state;
-        self.state = old
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
     }
 }
 
@@ -116,10 +77,8 @@ impl Pcg32 {
 enum ChaosEvent {
     Deliver,
     Delay(u64),
-    Drop,
-    Duplicate,
-    Reorder,
-    Reset,
+    Sever,
+    DeliverThenSever,
 }
 
 #[derive(Debug)]
@@ -151,10 +110,8 @@ impl ChaosState {
             return ChaosEvent::Delay(1 + u64::from(self.rng.next_u32()) % span);
         }
         for (rate, event) in [
-            (c.drop_per_10k, ChaosEvent::Drop),
-            (c.dup_per_10k, ChaosEvent::Duplicate),
-            (c.reorder_per_10k, ChaosEvent::Reorder),
-            (c.reset_per_10k, ChaosEvent::Reset),
+            (c.sever_per_10k, ChaosEvent::Sever),
+            (c.deliver_then_sever_per_10k, ChaosEvent::DeliverThenSever),
         ] {
             edge += rate;
             if roll < edge {
@@ -208,12 +165,12 @@ impl RequestSink for ChaosSink {
                 std::thread::sleep(Duration::from_micros(us));
                 self.inner.send_request(from, req, commit_data)
             }
-            ChaosEvent::Duplicate => {
+            ChaosEvent::DeliverThenSever => {
                 let _ = self.inner.send_request(from, req, commit_data);
                 (self.sever)();
                 Err(TxnError::Server)
             }
-            ChaosEvent::Drop | ChaosEvent::Reorder | ChaosEvent::Reset => {
+            ChaosEvent::Sever => {
                 (self.sever)();
                 Err(TxnError::Server)
             }
@@ -268,11 +225,11 @@ impl ClientPort for ChaosPort {
                 std::thread::sleep(Duration::from_micros(us));
                 let _ = self.inner.deliver(env);
             }
-            ChaosEvent::Duplicate => {
+            ChaosEvent::DeliverThenSever => {
                 let _ = self.inner.deliver(env);
                 self.inner.close();
             }
-            ChaosEvent::Drop | ChaosEvent::Reorder | ChaosEvent::Reset => self.inner.close(),
+            ChaosEvent::Sever => self.inner.close(),
         }
         true
     }
@@ -306,16 +263,42 @@ mod tests {
         assert_ne!(a, c, "different streams diverge");
     }
 
+    /// The schedule's generator is `fgs_simkernel::Pcg32`. These outputs
+    /// were captured from the private copy this module used to carry, so a
+    /// seed's schedule does not drift with the shared generator.
+    #[test]
+    fn pcg_stream_keeps_its_golden_outputs() {
+        for (seed, stream, want) in [
+            (
+                42,
+                1,
+                [1_307_692_281, 3_850_602_322, 1_491_967_504, 4_091_771_729],
+            ),
+            (
+                7,
+                3,
+                [3_682_281_251, 3_185_575_708, 1_655_154_972, 2_344_720_130],
+            ),
+            (
+                0x1234_5678_9ABC_1A55,
+                0,
+                [2_735_179_163, 2_184_957_030, 199_519_313, 838_408_299],
+            ),
+        ] {
+            let mut r = Pcg32::new(seed, stream);
+            let got: [u32; 4] = std::array::from_fn(|_| r.next_u32());
+            assert_eq!(got, want, "Pcg32::new({seed:#x}, {stream})");
+        }
+    }
+
     #[test]
     fn schedules_are_deterministic_and_bounded() {
         let cfg = ChaosConfig {
             seed: 7,
             delay_per_10k: 2_000,
             max_delay_us: 10,
-            drop_per_10k: 1_000,
-            dup_per_10k: 1_000,
-            reorder_per_10k: 1_000,
-            reset_per_10k: 1_000,
+            sever_per_10k: 3_000,
+            deliver_then_sever_per_10k: 1_000,
             max_events: 5,
         };
         let draw_all = || {
@@ -361,7 +344,7 @@ mod tests {
         });
         let cfg = ChaosConfig {
             seed: 1,
-            reset_per_10k: 10_000, // sever on the very first envelope
+            sever_per_10k: 10_000, // sever on the very first envelope
             max_events: 1,
             ..ChaosConfig::none()
         };
@@ -373,7 +356,7 @@ mod tests {
         assert_eq!(
             inner.delivered.load(Ordering::SeqCst),
             0,
-            "reset precedes delivery"
+            "the sever precedes delivery"
         );
         assert_eq!(
             inner.closed.load(Ordering::SeqCst),

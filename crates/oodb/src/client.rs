@@ -323,6 +323,7 @@ impl ClientRuntime {
     // Server messages
     // ------------------------------------------------------------------
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn handle_server(&mut self, env: ToClient) {
         // Discard stale transaction-addressed messages. If a previous
         // incarnation of this client id died mid-transaction, the
@@ -364,7 +365,8 @@ impl ClientRuntime {
             },
             // Control messages carry no payload; spelled out so a new
             // data-bearing ServerMsg variant cannot silently skip the
-            // install stage (fgs-lint handler_exhaustiveness).
+            // install stage (the deny above rules out a `_` arm, so
+            // rustc's exhaustiveness check names any new variant).
             ServerMsg::Callback { .. }
             | ServerMsg::Deescalate { .. }
             | ServerMsg::Aborted { .. }

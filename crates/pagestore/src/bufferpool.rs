@@ -20,7 +20,6 @@ struct Frame {
     /// LSN of the latest update applied to this frame (must be ≤ the WAL's
     /// flushed horizon before the frame may be written back).
     page_lsn: Lsn,
-    pins: u32,
     tick: u64,
 }
 
@@ -35,12 +34,17 @@ struct PoolInner {
 /// A fixed-capacity LRU buffer pool, sharded by page id.
 ///
 /// Each shard is an independent `Mutex<PoolInner>` with its own LRU and
-/// capacity slice, so page accesses on different shards — in particular
-/// read-mostly grant attaches versus a committer's installs — proceed
-/// concurrently instead of queueing on one pool-wide lock. A page's shard
-/// is a pure function of its id (`page % nshards`), so a page never
-/// migrates and the single-shard LRU semantics are unchanged; pools of
-/// fewer than [`MAX_SHARDS`] frames degenerate to one frame per shard.
+/// capacity slice, so page accesses on different shards proceed
+/// concurrently instead of queueing on one pool-wide lock. Measured on the
+/// repo benchmark's `hicon_contend` (EXPERIMENTS.md "Measured decisions"):
+/// with one shard 4.6 % of pool-lock acquisitions found the lock taken,
+/// against 0.6 % with eight, and throughput fell in 7 of 10 paired runs;
+/// the one-client workloads never contend.
+///
+/// A page's shard is a pure function of its id (`page % nshards`), so a
+/// page never migrates and the single-shard LRU semantics are unchanged;
+/// pools of fewer than [`MAX_SHARDS`] frames degenerate to one frame per
+/// shard.
 pub struct BufferPool {
     disk: Arc<dyn DiskManager>,
     wal: Arc<Wal>,
@@ -104,23 +108,6 @@ impl BufferPool {
         frame.dirty = true;
         frame.page_lsn = frame.page_lsn.max(lsn);
         Ok(f(&mut frame.page))
-    }
-
-    /// Pins `page` in memory.
-    pub fn pin(&self, page: PageId) -> io::Result<()> {
-        let mut g = self.shard(page).lock();
-        self.fault_in(&mut g, page)?;
-        g.frames.get_mut(&page).expect("faulted in").pins += 1;
-        Ok(())
-    }
-
-    /// Releases one pin.
-    pub fn unpin(&self, page: PageId) {
-        let mut g = self.shard(page).lock();
-        if let Some(f) = g.frames.get_mut(&page) {
-            debug_assert!(f.pins > 0, "unpin without pin");
-            f.pins = f.pins.saturating_sub(1);
-        }
     }
 
     /// Writes every dirty frame back (e.g. at checkpoint/shutdown),
@@ -197,12 +184,8 @@ impl BufferPool {
         g.misses += 1;
         // Evict first so capacity holds after insertion.
         while g.frames.len() >= self.shard_capacity {
-            let victim = g.lru.values().copied().find(|p| g.frames[p].pins == 0);
-            let Some(victim) = victim else {
-                break; // everything pinned: allow transient overflow
-            };
+            let (_, victim) = g.lru.pop_first().expect("a full shard has an LRU entry");
             let f = g.frames.remove(&victim).expect("resident");
-            g.lru.remove(&f.tick);
             if f.dirty {
                 // WAL rule: the log record at the page's LSN must be
                 // durable before the page overwrites its disk home. A
@@ -226,7 +209,6 @@ impl BufferPool {
                 page: page_img,
                 dirty: false,
                 page_lsn: 0,
-                pins: 0,
                 tick,
             },
         );
@@ -323,20 +305,6 @@ mod tests {
         pool.with_page(PageId(2), |_| ()).unwrap(); // evict page 1
         assert_eq!(disk.pages_written(), 1, "page stolen");
         assert_eq!(wal.forces(), 0, "no spurious force");
-    }
-
-    #[test]
-    fn pins_prevent_eviction() {
-        let (pool, disk, _) = pool(1);
-        pool.with_page_mut(PageId(1), 1, |p| p.insert(b"pinned").unwrap())
-            .unwrap();
-        pool.pin(PageId(1)).unwrap();
-        pool.with_page(PageId(2), |_| ()).unwrap();
-        assert_eq!(disk.pages_written(), 0, "pinned page not stolen");
-        pool.unpin(PageId(1));
-        pool.with_page(PageId(3), |_| ()).unwrap();
-        pool.with_page(PageId(4), |_| ()).unwrap();
-        assert!(disk.pages_written() >= 1, "released page stolen");
     }
 
     #[test]

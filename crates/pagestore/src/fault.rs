@@ -13,6 +13,7 @@ use crate::disk::{DiskManager, MemDisk};
 use crate::sync::Mutex;
 use crate::wal::WalHold;
 use fgs_core::PageId;
+use fgs_simkernel::splitmix64;
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
@@ -50,14 +51,6 @@ impl FaultPlan {
             wal_hold: WalHold::None,
         }
     }
-}
-
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[derive(Debug)]

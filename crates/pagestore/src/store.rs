@@ -158,7 +158,7 @@ impl Store {
         &self.wal
     }
 
-    /// The buffer pool (hit-rate statistics, pinning).
+    /// The buffer pool (hit-rate statistics).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
     }

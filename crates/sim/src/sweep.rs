@@ -29,6 +29,7 @@ use crate::config::{RunConfig, SystemConfig};
 use crate::driver::Simulator;
 use crate::metrics::RunMetrics;
 use fgs_core::Protocol;
+use fgs_simkernel::splitmix64;
 use fgs_workload::WorkloadSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -42,15 +43,6 @@ pub struct SweepCell {
     pub write_prob: f64,
     /// The fully instantiated workload.
     pub spec: WorkloadSpec,
-}
-
-/// SplitMix64 finalizer (Steele, Lea & Flood): a bijective mixer whose
-/// output bits all depend on all input bits.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// FNV-1a over a string, for folding protocol / family names into seeds.
@@ -71,10 +63,10 @@ fn fnv1a(s: &str) -> u64 {
 /// distinct cells get statistically independent random streams instead
 /// of replaying one seed across the whole grid.
 pub fn cell_seed(base_seed: u64, protocol: Protocol, write_prob: f64, family: &str) -> u64 {
-    let mut h = splitmix64(base_seed);
-    h = splitmix64(h ^ fnv1a(protocol.name()));
-    h = splitmix64(h ^ write_prob.to_bits());
-    h = splitmix64(h ^ fnv1a(family));
+    let mut h = splitmix64(&mut { base_seed });
+    h = splitmix64(&mut (h ^ fnv1a(protocol.name())));
+    h = splitmix64(&mut (h ^ write_prob.to_bits()));
+    h = splitmix64(&mut (h ^ fnv1a(family)));
     h
 }
 

@@ -15,6 +15,8 @@
 //! * [`FifoServer`] — single-server FIFO queues for disks and the network;
 //! * [`Pcg32`] — a deterministic random number generator with independent
 //!   streams, so experiments are exactly reproducible;
+//! * [`splitmix64`] — the seed mixer that derives independent seeds (sweep
+//!   cells, chaos plans, fault plans) from one base seed;
 //! * statistics ([`Tally`], [`TimeWeighted`], [`BatchMeans`]) matching the
 //!   paper's batch-means 90% confidence intervals.
 //!
@@ -52,6 +54,6 @@ mod time;
 pub use calendar::Calendar;
 pub use cpu::{Cpu, CpuClass};
 pub use fifo::FifoServer;
-pub use rng::Pcg32;
+pub use rng::{splitmix64, Pcg32};
 pub use stats::{BatchMeans, Confidence, Tally, TimeWeighted};
 pub use time::{Duration, SimTime};

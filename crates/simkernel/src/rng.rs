@@ -123,6 +123,18 @@ impl Pcg32 {
     }
 }
 
+/// SplitMix64 (Steele, Lea & Flood): advances `state` by the golden-ratio
+/// increment and returns a bijective mix of the new state. Called on one
+/// `u64` state it is a seeded stream; called on a copy of a value it mixes
+/// that value (every output bit depends on every input bit).
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +149,22 @@ mod tests {
         assert_eq!(got, again, "same seed must give same sequence");
         let mut other = Pcg32::new(42, 55);
         assert_ne!(got[0], other.next_u32(), "streams must differ");
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // The first outputs of SplitMix64 from state 0 (Steele, Lea &
+        // Flood); sweep cell seeds and the chaos/fault plans derive from it.
+        let mut s = 0;
+        let got: Vec<u64> = (0..3).map(|_| splitmix64(&mut s)).collect();
+        assert_eq!(
+            got,
+            [
+                0xE220_A839_7B1D_CDAF,
+                0x6E78_9E6A_A1B9_65F4,
+                0x06C4_5D18_8009_454F
+            ]
+        );
     }
 
     #[test]
